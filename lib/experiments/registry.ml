@@ -87,8 +87,8 @@ let find id =
 
 (** Everything one experiment run produced: its tables, the host wall-clock
     of the experiment body alone (sink post-processing and rendering are
-    excluded), the total simulator events the body executed (with the
-    derived events/sec, the tracked engine-throughput metric — host time is
+    excluded; {!post_ms} times the post-processing), the total simulator
+    events the body executed (with the derived events/sec, the tracked engine-throughput metric — host time is
     noisy, so both are informational: excluded from determinism digests and
     from [diff] regression gating; the rate is [None] below timer
     resolution), the observability sink and profiler that were live during
@@ -135,9 +135,24 @@ let suite_totals (outcomes : outcome list) =
     (fun (ms, ev) o -> (ms +. o.host_ms, ev + o.events_processed))
     (0., 0) outcomes
 
+(** Host time of the sink post-processing (health metrics + SLO), when the
+    run was observed. Timed apart from [host_ms] so the per-stage cost of
+    observing a run stays visible. *)
+let post_ms (o : outcome) = Option.map (fun s -> s.Obs.Sink.post_ms) o.sink
+
+let suite_post_ms (outcomes : outcome list) =
+  match List.filter_map post_ms outcomes with
+  | [] -> None
+  | l -> Some (List.fold_left ( +. ) 0. l)
+
+let render_post = function
+  | Some ms -> Printf.sprintf ", %.0f ms post-processing" ms
+  | None -> ""
+
 let render_suite_total (outcomes : outcome list) =
   let host_ms, events = suite_totals outcomes in
-  Printf.sprintf "== suite total: %.0f ms host time, %d events, %s ==" host_ms
+  Printf.sprintf "== suite total: %.0f ms host time%s, %d events, %s ==" host_ms
+    (render_post (suite_post_ms outcomes))
     events
     (render_mev_s ~events ~host_ms)
 
@@ -150,40 +165,41 @@ let run_one ?(quick = false) ?(observe = false) ?(profile = false) ?seed
   let tables = e.run ctx in
   let host_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
   let events_processed = Run_ctx.total_events ctx in
-  (* Instrumentation-health metrics, recorded after the run so they see
+  (* Sink post-processing, timed as its own stage ([post_ms]). First the
+     instrumentation-health metrics, recorded after the run so they see
      the final state: spans the workload never closed (analysis clamps
      them to end-of-run) and trace-ring events evicted by the capacity
-     bound. *)
-  (match sink with
-  | None -> ()
-  | Some s ->
-      let unclosed =
-        List.fold_left
-          (fun n (sp : Obs.Span.span) ->
-            if sp.Obs.Span.stop < 0 then n + 1 else n)
-          0
-          (Obs.Span.spans s.Obs.Sink.spans)
-      in
-      Obs.Metrics.add s.Obs.Sink.metrics "spans.unclosed" unclosed;
-      Obs.Metrics.add s.Obs.Sink.metrics "trace.dropped"
-        (Sim.Trace.total s.Obs.Sink.trace - Sim.Trace.count s.Obs.Sink.trace));
-  (* Worst-case & SLO summary over the run's span DAG. Recording it into
-     the metrics registry (slo.<kind>.worst_case_ns gauges) is what lets
-     the committed baseline carry the bound and `popcornsim diff` gate a
-     worst-case regression like any other time metric. Purely a function
-     of simulated data, so it is bit-identical across hosts and --jobs. *)
+     bound. Then the worst-case & SLO summary over the run's span DAG.
+     Recording it into the metrics registry (slo.<kind>.worst_case_ns
+     gauges) is what lets the committed baseline carry the bound and
+     `popcornsim diff` gate a worst-case regression like any other time
+     metric. Purely a function of simulated data, so it is bit-identical
+     across hosts and --jobs. *)
   let slo =
     match sink with
     | None -> None
     | Some s ->
+        let t0 = Unix.gettimeofday () in
+        let m = s.Obs.Sink.metrics in
+        let unclosed =
+          List.fold_left
+            (fun n (sp : Obs.Span.span) ->
+              if sp.Obs.Span.stop < 0 then n + 1 else n)
+            0
+            (Obs.Span.spans s.Obs.Sink.spans)
+        in
+        Obs.Metrics.add m "spans.unclosed" unclosed;
+        Obs.Metrics.add m "trace.dropped"
+          (Sim.Trace.total s.Obs.Sink.trace - Sim.Trace.count s.Obs.Sink.trace);
         let t =
           Obs.Slo.summarize
-            ~counters:(Obs.Slo.counters_of_registry s.Obs.Sink.metrics)
+            ~counters:(Obs.Slo.counters_of_registry m)
             ~spans:(Obs.Critpath.ispans_of_recorder s.Obs.Sink.spans)
             ~causal:(Obs.Causal.events s.Obs.Sink.causal)
             ()
         in
-        Obs.Slo.record t s.Obs.Sink.metrics;
+        Obs.Slo.record t m;
+        s.Obs.Sink.post_ms <- (Unix.gettimeofday () -. t0) *. 1e3;
         Some t
   in
   let b = Buffer.create 4096 in
@@ -194,7 +210,8 @@ let run_one ?(quick = false) ?(observe = false) ?(profile = false) ?seed
       Buffer.add_string b (Stats.Table.render t);
       Buffer.add_char b '\n')
     tables;
-  Printf.bprintf b "(%s: %.0f ms host time, %d events, %s)\n" e.id host_ms
+  Printf.bprintf b "(%s: %.0f ms host time%s, %d events, %s)\n" e.id host_ms
+    (render_post (Option.map (fun s -> s.Obs.Sink.post_ms) sink))
     events_processed
     (render_mev_s ~events:events_processed ~host_ms);
   {
@@ -274,6 +291,11 @@ let outcome_json ?(metrics_only = false) (o : outcome) =
        ("id", Obs.Json.Str o.spec.id);
        ("title", Obs.Json.Str o.spec.title);
        ("host_ms", Obs.Json.Float o.host_ms);
+     ]
+    @ (match post_ms o with
+      | Some ms -> [ ("post_ms", Obs.Json.Float ms) ]
+      | None -> [])
+    @ [
        (* Informational throughput fields: host-time-derived, so noisy run
           to run. `popcornsim diff` reads only "metrics" and ignores
           these. *)
@@ -321,6 +343,11 @@ let report_json ?(quick = false) ?(metrics_only = false)
        let host_ms, events = suite_totals outcomes in
        [
          ("suite_host_ms", Obs.Json.Float host_ms);
+       ]
+       @ (match suite_post_ms outcomes with
+         | Some ms -> [ ("suite_post_ms", Obs.Json.Float ms) ]
+         | None -> [])
+       @ [
          ("suite_events_processed", Obs.Json.Int events);
          ( "suite_events_per_sec",
            match events_per_sec ~events ~host_ms with

@@ -96,6 +96,7 @@ let ispans_of_json j =
 type send_rec = { s_src : int; s_dst : int; s_at : int; s_from : int option }
 
 type index = {
+  spans : ispan list; (* as given, duplicates included *)
   span_by_id : (int * int, ispan) Hashtbl.t; (* (run, sid) *)
   children : (int * int, int list) Hashtbl.t; (* (run, sid) -> child sids *)
   sends : (int * int, send_rec) Hashtbl.t; (* (run, msg id) *)
@@ -111,6 +112,7 @@ let add_multi tbl key v =
 let build_index ~spans ~causal =
   let ix =
     {
+      spans;
       span_by_id = Hashtbl.create 256;
       children = Hashtbl.create 256;
       sends = Hashtbl.create 256;
@@ -158,6 +160,11 @@ let stop_eff ix (s : ispan) =
     Stdlib.max s.start
       (Option.value (Hashtbl.find_opt ix.run_end s.run) ~default:s.start)
 
+let duration ix (s : ispan) = stop_eff ix s - s.start
+
+let roots ix ~kind =
+  List.filter (fun s -> s.parent = None && s.kind = kind) ix.spans
+
 (* ------------------------------------------------------------------ *)
 (* Critical path.                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -165,9 +172,6 @@ let stop_eff ix (s : ispan) =
 type seg = { label : string; on_wire : bool; seg_start : int; seg_stop : int }
 type path = { root : ispan; total_ns : int; segs : seg list }
 
-(* An interval competing for slices of the root window. Innermost-active
-   wins: latest start first, wire beats the span it was sent from on ties,
-   id as the deterministic tiebreak. *)
 type ival = {
   i_start : int;
   i_stop : int;
@@ -176,7 +180,70 @@ type ival = {
   i_label : string;
 }
 
+(* Innermost-active wins: latest start first, wire beats the span it was
+   sent from on ties, id as the deterministic tiebreak. *)
 let rank iv = (iv.i_start, (if iv.i_wire then 1 else 0), iv.i_id)
+
+module Active = Set.Make (struct
+  type t = ival
+
+  let compare a b = compare (rank a) (rank b)
+end)
+
+let segments ~w_start ~w_stop intervals =
+  (* Slice boundaries: every interval edge inside the window. *)
+  let module IS = Set.Make (Int) in
+  let bounds =
+    List.fold_left
+      (fun acc iv ->
+        let acc =
+          if iv.i_start > w_start && iv.i_start < w_stop then
+            IS.add iv.i_start acc
+          else acc
+        in
+        if iv.i_stop > w_start && iv.i_stop < w_stop then IS.add iv.i_stop acc
+        else acc)
+      (IS.of_list [ w_start; w_stop ])
+      intervals
+  in
+  (* Sweep the elementary slices [a, b) left to right. An interval may own
+     a slice only if it covers all of it (start <= a, stop >= b): it joins
+     the active set once a reaches its start and leaves it once b passes
+     its stop, and the highest-ranked member owns the slice. *)
+  let by_start = Array.of_list intervals in
+  let by_stop = Array.copy by_start in
+  Array.sort (fun x y -> compare x.i_start y.i_start) by_start;
+  Array.sort (fun x y -> compare x.i_stop y.i_stop) by_stop;
+  let n = Array.length by_start in
+  let next_start = ref 0 and next_stop = ref 0 and active = ref Active.empty in
+  let rec slices acc = function
+    | a :: (b :: _ as rest) -> (
+        while !next_start < n && by_start.(!next_start).i_start <= a do
+          let iv = by_start.(!next_start) in
+          if iv.i_stop >= b then active := Active.add iv !active;
+          incr next_start
+        done;
+        while !next_stop < n && by_stop.(!next_stop).i_stop < b do
+          active := Active.remove by_stop.(!next_stop) !active;
+          incr next_stop
+        done;
+        match Active.max_elt_opt !active with
+        | Some iv -> slices ((iv, a, b) :: acc) rest
+        | None -> slices acc rest)
+    | _ -> List.rev acc
+  in
+  List.fold_left
+    (fun acc (iv, a, b) ->
+      match acc with
+      | { label; on_wire; seg_stop; seg_start } :: tl
+        when label = iv.i_label && on_wire = iv.i_wire && seg_stop = a ->
+          { label; on_wire; seg_start; seg_stop = b } :: tl
+      | _ ->
+          { label = iv.i_label; on_wire = iv.i_wire; seg_start = a; seg_stop = b }
+          :: acc)
+    []
+    (slices [] (IS.elements bounds))
+  |> List.rev
 
 (* Component of the happens-before DAG reachable from [root]: children via
    parent edges, messages via their sending span, remote spans via Link. *)
@@ -210,11 +277,9 @@ let component ix (root : ispan) =
   done;
   (comp_spans, comp_msgs)
 
-let critical_path ~spans ~causal ~root =
-  let ix = build_index ~spans ~causal in
+let critical_path ix ~root =
   let run = root.run in
   let comp_spans, comp_msgs = component ix root in
-  let w_start = root.start and w_stop = stop_eff ix root in
   let intervals = ref [] in
   Hashtbl.iter
     (fun sid () ->
@@ -248,58 +313,11 @@ let critical_path ~spans ~causal ~root =
             :: !intervals
       | _ -> () (* dropped or instant: time stays with the sender span *))
     comp_msgs;
-  (* Slice boundaries: every interval edge inside the window. *)
-  let module IS = Set.Make (Int) in
-  let bounds =
-    List.fold_left
-      (fun acc iv ->
-        let acc =
-          if iv.i_start > w_start && iv.i_start < w_stop then
-            IS.add iv.i_start acc
-          else acc
-        in
-        if iv.i_stop > w_start && iv.i_stop < w_stop then IS.add iv.i_stop acc
-        else acc)
-      (IS.of_list [ w_start; w_stop ])
-      !intervals
-  in
-  let bounds = IS.elements bounds in
-  let pick a b =
-    (* Innermost interval covering [a, b); the root always qualifies. *)
-    List.fold_left
-      (fun best iv ->
-        if iv.i_start <= a && iv.i_stop >= b then
-          match best with
-          | Some bv when rank bv >= rank iv -> best
-          | _ -> Some iv
-        else best)
-      None !intervals
-  in
-  let rec slices acc = function
-    | a :: (b :: _ as rest) when a < b -> (
-        match pick a b with
-        | Some iv -> slices ((iv, a, b) :: acc) rest
-        | None -> slices acc rest (* unreachable: root covers the window *))
-    | _ :: rest -> slices acc rest
-    | [] -> List.rev acc
-  in
-  let segs =
-    List.fold_left
-      (fun acc (iv, a, b) ->
-        match acc with
-        | { label; on_wire; seg_stop; seg_start } :: tl
-          when label = iv.i_label && on_wire = iv.i_wire && seg_stop = a ->
-            { label; on_wire; seg_start; seg_stop = b } :: tl
-        | _ ->
-            { label = iv.i_label; on_wire = iv.i_wire; seg_start = a; seg_stop = b }
-            :: acc)
-      []
-      (slices [] bounds)
-  in
-  { root; total_ns = w_stop - w_start; segs = List.rev segs }
-
-let roots ~spans ~kind =
-  List.filter (fun s -> s.parent = None && s.kind = kind) spans
+  {
+    root;
+    total_ns = duration ix root;
+    segs = segments ~w_start:root.start ~w_stop:(stop_eff ix root) !intervals;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Per-subsystem self time.                                            *)
@@ -333,8 +351,7 @@ let union_len ~lo ~hi intervals =
   in
   total
 
-let self_times ~spans ~causal =
-  let ix = build_index ~spans ~causal in
+let self_times ix =
   let acc = Hashtbl.create 16 in
   let add name ns =
     if ns > 0 then
@@ -367,7 +384,7 @@ let self_times ~spans ~causal =
       in
       add (subsystem s.kind)
         (hi - lo - union_len ~lo ~hi (child_ivals @ wire_ivals)))
-    spans;
+    ix.spans;
   Hashtbl.iter
     (fun (run, id) d_at ->
       match Hashtbl.find_opt ix.sends (run, id) with

@@ -37,6 +37,24 @@ val ispans_of_json : Json.t -> ispan list
 (** Tolerant inverse of {!ispans_to_json}: malformed entries are skipped,
     so truncated documents still decode. *)
 
+type index
+(** The happens-before DAG of one data set: spans by id, parent edges,
+    message sends/deliveries/links, and each run's end time (the clamp for
+    unclosed spans). Build it once per data set and share it between every
+    query below; each costs a pass over the trace at most. *)
+
+val build_index : spans:ispan list -> causal:Causal.event list -> index
+(** O(spans + causal events). Spans and messages are keyed by (run, id);
+    the first delivery of a message wins. *)
+
+val duration : index -> ispan -> int
+(** A span's duration with an unclosed span clamped to the end of its run.
+    For a root this is {!critical_path}'s [total_ns]: the window does not
+    depend on the path, so ranking roots needs no path at all. *)
+
+val roots : index -> kind:string -> ispan list
+(** Top-level spans (no parent) of [kind], in creation order. *)
+
 type seg = {
   label : string;
       (** ["kind\@k<kernel>"] for span segments, ["wire k<src>->k<dst>"]
@@ -50,17 +68,32 @@ type path = { root : ispan; total_ns : int; segs : seg list }
 (** [total_ns] equals the root span's (clamped) duration and equals the
     sum of all segment durations — the partition is exact. *)
 
-val critical_path :
-  spans:ispan list -> causal:Causal.event list -> root:ispan -> path
+val critical_path : index -> root:ispan -> path
 (** Critical path through the happens-before component reachable from
     [root]: children via parent edges, messages via their sending span,
     remote spans via the message that caused them ({!Causal.Link}).
     Every elementary time slice of the root's window is attributed to the
     innermost active interval (latest start wins; wire beats its sender),
-    and consecutive slices with the same owner merge into one segment. *)
+    and consecutive slices with the same owner merge into one segment.
+    Costs O(W log W) for a component of W spans and messages. *)
 
-val roots : spans:ispan list -> kind:string -> ispan list
-(** Top-level spans (no parent) of [kind], in creation order. *)
+type ival = {
+  i_start : int;
+  i_stop : int;
+  i_wire : bool;
+  i_id : int;
+  i_label : string;
+}
+(** One interval competing for the slices of a root's window: a span of
+    the component or a delivered message's time on the wire. *)
+
+val segments : w_start:int -> w_stop:int -> ival list -> seg list
+(** The partition step of {!critical_path}: cut the window from
+    [w_start] to [w_stop] at every interval edge inside it, give each
+    slice to the highest-ranked interval covering it whole — rank is
+    (start, wire over span, id), assumed distinct — drop slices nobody
+    covers, and merge adjacent slices with the same owner. A sweep over the sorted edges keeps the
+    covering intervals ordered by rank: O(n log n) in the intervals. *)
 
 val subsystem : string -> string
 (** Map a span-kind name to its owning subsystem: migration phases to
@@ -68,8 +101,7 @@ val subsystem : string -> string
     thread-group create/import to ["thread_group"], task listing to
     ["ssi"]; unknown kinds map to themselves, wire time to ["msg"]. *)
 
-val self_times :
-  spans:ispan list -> causal:Causal.event list -> (string * int) list
+val self_times : index -> (string * int) list
 (** Per-subsystem self time over every run in the input: each span's
     duration minus its children and its own messages' wire time (clipped
     to the span), plus all delivered messages' wire time under ["msg"].

@@ -3,6 +3,7 @@ type t = {
   spans : Span.t;
   causal : Causal.t;
   trace : Sim.Trace.t;
+  mutable post_ms : float;
 }
 
 let create ?(trace_capacity = 4096) () =
@@ -11,6 +12,7 @@ let create ?(trace_capacity = 4096) () =
     spans = Span.create ();
     causal = Causal.create ();
     trace = Sim.Trace.create ~capacity:trace_capacity ();
+    post_ms = 0.;
   }
 
 let chrome_trace t =

@@ -8,6 +8,11 @@ type t = {
   spans : Span.t;
   causal : Causal.t;
   trace : Sim.Trace.t;
+  mutable post_ms : float;
+      (** Host wall-clock of the post-processing applied to this sink after
+          its run (instrumentation-health metrics and the SLO summary); 0
+          until a runner sets it. Host time, so informational only: never
+          part of the metrics, digests or [diff]. *)
 }
 
 val create : ?trace_capacity:int -> unit -> t

@@ -108,49 +108,44 @@ let phases_of_path (p : Critpath.path) =
          | 0 -> compare a.ph_label b.ph_label
          | c -> c)
 
-let summarize_kind ~spans ~causal ~kind =
-  match Critpath.roots ~spans ~kind with
+(* The slowest root is the first strict maximum of [Critpath.duration] in
+   root order; only its critical path is computed. *)
+let summarize_kind ix ~kind =
+  match Critpath.roots ix ~kind with
   | [] -> None
   | roots ->
-      let paths =
-        List.map
-          (fun root -> Critpath.critical_path ~spans ~causal ~root)
-          roots
-      in
-      let worst =
+      let timed = List.map (fun r -> (r, Critpath.duration ix r)) roots in
+      let worst, worst_ns =
         List.fold_left
-          (fun (best : Critpath.path) (p : Critpath.path) ->
-            if p.Critpath.total_ns > best.Critpath.total_ns then p else best)
-          (List.hd paths) (List.tl paths)
+          (fun (best, best_ns) (r, ns) ->
+            if ns > best_ns then (r, ns) else (best, best_ns))
+          (List.hd timed) (List.tl timed)
       in
-      let totals =
-        Array.of_list
-          (List.map (fun (p : Critpath.path) -> p.Critpath.total_ns) paths)
-      in
+      let totals = Array.of_list (List.map snd timed) in
       let n = Array.length totals in
       let sum = Array.fold_left ( + ) 0 totals in
       Array.sort compare totals;
+      let path = Critpath.critical_path ix ~root:worst in
       Some
-        {
-          ks_kind = kind;
-          ks_roots = n;
-          ks_mean_ns = sum / n;
-          ks_p99_ns = exact_percentile totals 99.;
-          ks_worst_ns = worst.Critpath.total_ns;
-          ks_worst_sid = worst.Critpath.root.Critpath.sid;
-          ks_worst_run = worst.Critpath.root.Critpath.run;
-          ks_worst_kernel = worst.Critpath.root.Critpath.kernel;
-          ks_phases = phases_of_path worst;
-        }
+        ( {
+            ks_kind = kind;
+            ks_roots = n;
+            ks_mean_ns = sum / n;
+            ks_p99_ns = exact_percentile totals 99.;
+            ks_worst_ns = worst_ns;
+            ks_worst_sid = worst.Critpath.sid;
+            ks_worst_run = worst.Critpath.run;
+            ks_worst_kernel = worst.Critpath.kernel;
+            ks_phases = phases_of_path path;
+          },
+          path )
+
+let worst_paths ix =
+  List.filter_map (fun kind -> summarize_kind ix ~kind) kinds_analyzed
 
 let summarize ?(counters = no_counters) ~spans ~causal () =
-  {
-    kinds =
-      List.filter_map
-        (fun kind -> summarize_kind ~spans ~causal ~kind)
-        kinds_analyzed;
-    counters;
-  }
+  let ix = Critpath.build_index ~spans ~causal in
+  { kinds = List.map fst (worst_paths ix); counters }
 
 let record t m =
   List.iter

@@ -64,13 +64,21 @@ type t = { kinds : kind_summary list; counters : counters }
 val kinds_analyzed : string list
 (** Root kinds summarized, in report order (migration first). *)
 
+val worst_paths : Critpath.index -> (kind_summary * Critpath.path) list
+(** For each of {!kinds_analyzed} with at least one root, in that order:
+    its summary and the critical path of its slowest root — the first
+    root, in creation order, of maximal {!Critpath.duration}. Root
+    latencies come from the index alone, so this computes one critical
+    path per kind. *)
+
 val summarize :
   ?counters:counters ->
   spans:Critpath.ispan list ->
   causal:Causal.event list ->
   unit ->
   t
-(** Analyze one run's spans. Kinds with no roots are omitted. *)
+(** Analyze one run's spans over a single {!Critpath.index}. Kinds with
+    no roots are omitted. *)
 
 val record : t -> Metrics.t -> unit
 (** Write [slo.<kind>.worst_case_ns] and [slo.<kind>.mean_ns] gauges for

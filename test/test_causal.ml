@@ -163,7 +163,8 @@ let test_critical_path_known_chain () =
       Obs.Causal.Deliver { id = 3; run = 0; dst = 0; at = 800 };
     ]
   in
-  let p = Obs.Critpath.critical_path ~spans ~causal ~root in
+  let ix = Obs.Critpath.build_index ~spans ~causal in
+  let p = Obs.Critpath.critical_path ix ~root in
   Alcotest.(check int) "total is the root duration" 1000 p.Obs.Critpath.total_ns;
   let segs =
     List.map
@@ -197,11 +198,12 @@ let test_critical_path_of_real_run () =
   ignore (run_workload ~sink ~seed:42 ());
   let spans = Obs.Critpath.ispans_of_recorder sink.Obs.Sink.spans in
   let causal = Obs.Causal.events sink.Obs.Sink.causal in
-  let roots = Obs.Critpath.roots ~spans ~kind:"migration" in
+  let ix = Obs.Critpath.build_index ~spans ~causal in
+  let roots = Obs.Critpath.roots ix ~kind:"migration" in
   Alcotest.(check int) "two migrations analyzed" 2 (List.length roots);
   List.iter
     (fun root ->
-      let p = Obs.Critpath.critical_path ~spans ~causal ~root in
+      let p = Obs.Critpath.critical_path ix ~root in
       let sum =
         List.fold_left
           (fun a (s : Obs.Critpath.seg) ->
@@ -214,6 +216,142 @@ let test_critical_path_of_real_run () =
         (List.exists (fun (s : Obs.Critpath.seg) -> s.Obs.Critpath.on_wire)
            p.Obs.Critpath.segs))
     roots
+
+(* The selection shortcut behind Slo and analyze: a root's latency is its
+   clamped window, so ranking roots needs no critical path. Guarded on
+   every migration and remote thread creation of two observed runs. *)
+let test_duration_is_path_total () =
+  List.iter
+    (fun id ->
+      let e =
+        match Experiments.Registry.find id with
+        | Some e -> e
+        | None -> Alcotest.failf "%s not registered" id
+      in
+      let o = Experiments.Registry.run_one ~quick:true ~observe:true e in
+      let sink = Option.get o.Experiments.Registry.sink in
+      let ix =
+        Obs.Critpath.build_index
+          ~spans:(Obs.Critpath.ispans_of_recorder sink.Obs.Sink.spans)
+          ~causal:(Obs.Causal.events sink.Obs.Sink.causal)
+      in
+      let checked = ref 0 in
+      List.iter
+        (fun kind ->
+          List.iter
+            (fun root ->
+              incr checked;
+              let p = Obs.Critpath.critical_path ix ~root in
+              let d = Obs.Critpath.duration ix root in
+              if d <> p.Obs.Critpath.total_ns then
+                Alcotest.failf "%s %s span %d: duration %d <> path total %d"
+                  id kind root.Obs.Critpath.sid d p.Obs.Critpath.total_ns;
+              let sum =
+                List.fold_left
+                  (fun a (s : Obs.Critpath.seg) ->
+                    a + s.Obs.Critpath.seg_stop - s.Obs.Critpath.seg_start)
+                  0 p.Obs.Critpath.segs
+              in
+              if sum <> d then
+                Alcotest.failf "%s %s span %d: segments sum %d <> %d" id kind
+                  root.Obs.Critpath.sid sum d)
+            (Obs.Critpath.roots ix ~kind))
+        [ "migration"; "thread_group_create" ];
+      Alcotest.(check bool) (id ^ ": roots checked") true (!checked > 0))
+    [ "F6"; "R4" ]
+
+(* The partition as it was computed before the sweep: every slice scans
+   all intervals for the innermost one covering it. Kept here only as the
+   reference [Critpath.segments] must reproduce. *)
+let scan_segments ~w_start ~w_stop (intervals : Obs.Critpath.ival list) =
+  let open Obs.Critpath in
+  let rank iv = (iv.i_start, (if iv.i_wire then 1 else 0), iv.i_id) in
+  let module IS = Set.Make (Int) in
+  let bounds =
+    List.fold_left
+      (fun acc iv ->
+        let acc =
+          if iv.i_start > w_start && iv.i_start < w_stop then
+            IS.add iv.i_start acc
+          else acc
+        in
+        if iv.i_stop > w_start && iv.i_stop < w_stop then IS.add iv.i_stop acc
+        else acc)
+      (IS.of_list [ w_start; w_stop ])
+      intervals
+  in
+  let pick a b =
+    List.fold_left
+      (fun best iv ->
+        if iv.i_start <= a && iv.i_stop >= b then
+          match best with
+          | Some bv when rank bv >= rank iv -> best
+          | _ -> Some iv
+        else best)
+      None intervals
+  in
+  let rec slices acc = function
+    | a :: (b :: _ as rest) when a < b -> (
+        match pick a b with
+        | Some iv -> slices ((iv, a, b) :: acc) rest
+        | None -> slices acc rest)
+    | _ :: rest -> slices acc rest
+    | [] -> List.rev acc
+  in
+  List.fold_left
+    (fun acc (iv, a, b) ->
+      match acc with
+      | { label; on_wire; seg_stop; seg_start } :: tl
+        when label = iv.i_label && on_wire = iv.i_wire && seg_stop = a ->
+          { label; on_wire; seg_start; seg_stop = b } :: tl
+      | _ ->
+          { label = iv.i_label; on_wire = iv.i_wire; seg_start = a; seg_stop = b }
+          :: acc)
+    []
+    (slices [] (IS.elements bounds))
+  |> List.rev
+
+(* Random windows and interval sets: intervals may start before or end
+   after the window, be empty or inverted, and share start times so the
+   wire-over-span and id tiebreaks decide. Few labels, so merging is
+   exercised too. Ids are positions: ranks stay distinct. *)
+let gen_partition =
+  QCheck.Gen.(
+    let* w_start = int_bound 50 in
+    let* w_len = int_bound 200 in
+    let* specs =
+      list_size (int_bound 40)
+        (quad (int_range (-20) 260) (int_range (-10) 150) bool (int_bound 2))
+    in
+    let intervals =
+      List.mapi
+        (fun i (start, len, wire, label) ->
+          {
+            Obs.Critpath.i_start = start;
+            i_stop = start + len;
+            i_wire = wire;
+            i_id = i;
+            i_label = Printf.sprintf "L%d" label;
+          })
+        specs
+    in
+    return (w_start, w_start + w_len, intervals))
+
+let prop_sweep_matches_scan =
+  QCheck.Test.make ~name:"sweep partition == reference scan" ~count:500
+    (QCheck.make gen_partition
+       ~print:(fun (w_start, w_stop, ivs) ->
+         Printf.sprintf "window [%d, %d) %s" w_start w_stop
+           (String.concat " "
+              (List.map
+                 (fun (iv : Obs.Critpath.ival) ->
+                   Printf.sprintf "%s%d:[%d,%d)" iv.Obs.Critpath.i_label
+                     iv.Obs.Critpath.i_id iv.Obs.Critpath.i_start
+                     iv.Obs.Critpath.i_stop)
+                 ivs))))
+    (fun (w_start, w_stop, intervals) ->
+      Obs.Critpath.segments ~w_start ~w_stop intervals
+      = scan_segments ~w_start ~w_stop intervals)
 
 (* --- analyze / diff documents --- *)
 
@@ -508,6 +646,9 @@ let () =
             test_critical_path_known_chain;
           Alcotest.test_case "real run sums exactly" `Quick
             test_critical_path_of_real_run;
+          Alcotest.test_case "duration is path total (F6, R4)" `Quick
+            test_duration_is_path_total;
+          QCheck_alcotest.to_alcotest prop_sweep_matches_scan;
         ] );
       ( "analyze",
         [

@@ -81,6 +81,102 @@ let test_record_gauges () =
   Alcotest.(check (float 0.0)) "mean gauge" 1234.
     (Obs.Metrics.gauge m "slo.migration.mean_ns")
 
+(* --- linear-scale regression --- *)
+
+(* 20,000 migrations, each with one child span and one message delivered
+   from it. Every root takes 1000 ns except two 5000 ns ones; the first of
+   those (root 12,345) is the worst. A per-root index rebuild makes this
+   quadratic (minutes); built once it takes well under a second, so the
+   30 s bounds leave more than 50x headroom for slow hosts. *)
+let synthetic_roots = 20_000
+let synthetic_worst = 12_345
+
+let synthetic_dataset () =
+  let causal = Obs.Causal.create () in
+  let spans =
+    List.concat
+      (List.init synthetic_roots (fun i ->
+           let start = i * 10_000 in
+           let dur = if i = synthetic_worst || i = 17_000 then 5000 else 1000 in
+           let child = (2 * i) + 1 in
+           Obs.Causal.emit_send causal ~id:i ~src:0 ~dst:1 ~at:(start + 200)
+             ~bytes:64 ~from_span:(Some child);
+           Obs.Causal.emit_deliver causal ~id:i ~dst:1 ~at:(start + 300);
+           [
+             { (mig ~sid:(2 * i) ~start ~stop:(start + dur)) with
+               Obs.Critpath.tid = None };
+             {
+               Obs.Critpath.sid = child;
+               parent = Some (2 * i);
+               kind = "transfer";
+               kernel = 0;
+               tid = None;
+               run = 0;
+               start = start + 100;
+               stop = start + (dur / 2);
+             };
+           ]))
+  in
+  (spans, causal)
+
+let within_bound what f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  let s = Unix.gettimeofday () -. t0 in
+  if s > 30. then Alcotest.failf "%s took %.1f s (bound 30 s)" what s;
+  r
+
+let test_linear_scale () =
+  let spans, causal = synthetic_dataset () in
+  let t =
+    within_bound "Slo.summarize" (fun () ->
+        Obs.Slo.summarize ~spans ~causal:(Obs.Causal.events causal) ())
+  in
+  (match t.Obs.Slo.kinds with
+  | [ ks ] ->
+      Alcotest.(check int) "roots" synthetic_roots ks.Obs.Slo.ks_roots;
+      Alcotest.(check int) "worst" 5000 ks.Obs.Slo.ks_worst_ns;
+      Alcotest.(check int) "first worst root wins" (2 * synthetic_worst)
+        ks.Obs.Slo.ks_worst_sid;
+      Alcotest.(check int) "mean" 1000 ks.Obs.Slo.ks_mean_ns;
+      Alcotest.(check int) "p99" 1000 ks.Obs.Slo.ks_p99_ns;
+      Alcotest.(check (list (pair string int)))
+        "worst path phases"
+        [ ("migration", 2600); ("transfer", 2300); ("wire", 100) ]
+        (List.map
+           (fun p -> (p.Obs.Slo.ph_label, p.Obs.Slo.ph_ns))
+           ks.Obs.Slo.ks_phases)
+  | ks -> Alcotest.failf "expected one kind, got %d" (List.length ks));
+  let doc =
+    Obs.Json.Obj
+      [
+        ("schema", Obs.Json.Str "popcornsim-bench-v2");
+        ( "experiments",
+          Obs.Json.Arr
+            [
+              Obs.Json.Obj
+                [
+                  ("id", Obs.Json.Str "SYN");
+                  ("spans", Obs.Critpath.ispans_to_json spans);
+                  ("causal", Obs.Causal.to_json causal);
+                ];
+            ] );
+      ]
+  in
+  match within_bound "Report.analyze_doc" (fun () -> Obs.Report.analyze_doc doc) with
+  | Ok report ->
+      Alcotest.(check bool) "root count reported" true
+        (contains ~sub:"migration: 20000 roots, mean 1000 ns, max 5000 ns"
+           report);
+      Alcotest.(check bool) "slowest root's path rendered" true
+        (contains
+           ~sub:
+             (Printf.sprintf
+                "critical path of slowest migration (span %d, run 0, k0)"
+                (2 * synthetic_worst))
+           report)
+  | Error e -> Alcotest.fail e
+
 (* --- deadline accounting end-to-end through the migration protocol --- *)
 
 (* Two kernels, one thread, two migrations: one with a generous deadline
@@ -295,6 +391,8 @@ let () =
           Alcotest.test_case "empty run" `Quick test_summarize_empty;
           Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "records gauges" `Quick test_record_gauges;
+          Alcotest.test_case "linear in trace size (20k roots)" `Quick
+            test_linear_scale;
         ] );
       ( "deadlines",
         [
