@@ -1,4 +1,4 @@
-(** Calendar-queue event scheduler.
+(** Calendar-queue event scheduler: the {!Engine}'s event queue.
 
     Same contract as {!Eheap} — a priority queue of events totally ordered
     by [(at, seq)] — but with O(1) amortized push/pop for events inside the

@@ -1,6 +1,6 @@
 (** Deterministic discrete-event simulation engine with lightweight fibers.
 
-    An engine owns a virtual clock and an event queue. Simulated activities
+    An engine owns a virtual clock and an event queue (a {!Calq}). Simulated activities
     are {e fibers}: ordinary OCaml functions that may call {!sleep},
     {!suspend} and the synchronisation primitives built on them. Fibers are
     implemented with effect handlers, so simulation code reads like direct
@@ -17,10 +17,8 @@ exception Fiber_failure of string * exn
 (** Raised out of {!run} when a fiber terminates with an uncaught exception.
     The string is the fiber's name. *)
 
-val create : ?seed:int -> ?evq:Evq.impl -> unit -> t
-(** Fresh engine with clock at zero. [seed] (default 42) seeds {!rng}.
-    [evq] (default {!Evq.Heap}) selects the event-queue implementation;
-    any run is bit-identical under either choice. *)
+val create : ?seed:int -> unit -> t
+(** Fresh engine with clock at zero. [seed] (default 42) seeds {!rng}. *)
 
 val now : t -> Time.t
 (** Current virtual time. *)
@@ -32,9 +30,6 @@ val seed : t -> int
 (** The seed this engine was created with. Components that need their own
     independent random stream (e.g. fault injection) derive one from this
     without advancing {!rng} — which would perturb the simulation. *)
-
-val evq_impl : t -> Evq.impl
-(** Which event-queue implementation this engine runs on. *)
 
 val events_processed : t -> int
 (** Total events executed so far; a cheap progress/complexity metric. *)

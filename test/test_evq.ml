@@ -1,18 +1,17 @@
-(* Event-queue equivalence suite.
+(* Event-queue contract suite.
 
-   The engine's scheduling queue is pluggable (Sim.Evq): a binary heap and
-   a calendar queue share one contract — pop order is the total order
-   (at, seq). This file checks that contract three ways:
+   The engine schedules through one calendar queue (Sim.Calq), whose pop
+   order is the total order (at, seq). This file checks that contract two
+   ways:
 
-   1. property tests drive both implementations through random push/pop
-      interleavings against a sorted-list reference model (exact (at, seq)
-      tie-breaks, far-future/horizon-clamp times included);
-   2. a retention test proves dummy-slot clearing: popped payloads are
-      collectable in both implementations (the engine relies on this —
-      stale event closures used to pin whole machine graphs);
-   3. the headline guarantee: a same-seed quick suite run under the
-      calendar queue is bit-identical to the heap — rendered tables,
-      metrics JSON, span/causal digests and SLO digests per experiment.
+   1. property tests drive the calendar queue — and the binary heap
+      (Sim.Eheap) it uses for its front and far bands — through random
+      push/pop interleavings against a sorted-list reference model (exact
+      (at, seq) tie-breaks, far-future/horizon-clamp times included);
+   2. deterministic spot-checks of the calendar's awkward corners,
+      including a retention test for dummy-slot clearing: popped payloads
+      must be collectable (the engine relies on this — stale event
+      closures used to pin whole machine graphs).
 
    Plus the metrics-interning satellites: same-name-different-kernel cells
    stay distinct, and Metrics.to_json is byte-identical to a string-keyed
@@ -46,9 +45,20 @@ module Model = struct
         Some hd
 end
 
+(* The slice of the queue interface the model check drives; both
+   [Calq] and [Eheap] provide it. *)
+module type QUEUE = sig
+  type 'a t
+
+  val create : ?dummy:'a -> unit -> 'a t
+  val push : 'a t -> at:Time.t -> seq:int -> 'a -> unit
+  val pop : 'a t -> (Time.t * int * 'a) option
+  val is_empty : 'a t -> bool
+end
+
 (* Op sequences mix pushes (with a time generator) and pops. *)
-let apply_ops impl times_of_ops =
-  let q = Evq.create impl in
+let apply_ops (module Q : QUEUE) times_of_ops =
+  let q = Q.create () in
   let model = Model.create () in
   let seq = ref 0 in
   let ok = ref true in
@@ -56,19 +66,19 @@ let apply_ops impl times_of_ops =
     (fun op ->
       match op with
       | Some at ->
-          Evq.push q ~at ~seq:!seq !seq;
+          Q.push q ~at ~seq:!seq !seq;
           Model.push model ~at ~seq:!seq !seq;
           incr seq
-      | None -> if Evq.pop q <> Model.pop model then ok := false)
+      | None -> if Q.pop q <> Model.pop model then ok := false)
     times_of_ops;
   (* Drain both to the end: the tail must agree too, and the queue must
      report empty exactly when the model does. *)
   let rec drain () =
-    let a = Evq.pop q and b = Model.pop model in
+    let a = Q.pop q and b = Model.pop model in
     if a <> b then ok := false else if a <> None then drain ()
   in
   drain ();
-  !ok && Evq.is_empty q
+  !ok && Q.is_empty q
 
 (* Time generator: mostly near-horizon values with occasional far-future
    and max_int-adjacent outliers, so calendar rewindowing and horizon
@@ -96,224 +106,104 @@ let arb_ops =
         | Some at -> Printf.sprintf "push@%d" at
         | None -> "pop"))
 
-let prop_vs_model name impl =
-  QCheck.Test.make ~name ~count:300 arb_ops (fun ops -> apply_ops impl ops)
-
-(* Same ops, both implementations, identical pop streams — the pairwise
-   phrasing of the contract, independent of the model. *)
-let prop_cross_impl =
-  QCheck.Test.make ~name:"heap and calendar pop identically" ~count:300
-    arb_ops (fun ops ->
-      let run impl =
-        let q = Evq.create impl in
-        let seq = ref 0 in
-        let out = ref [] in
-        List.iter
-          (function
-            | Some at ->
-                Evq.push q ~at ~seq:!seq !seq;
-                incr seq
-            | None -> out := Evq.pop q :: !out)
-          ops;
-        let rec drain () =
-          match Evq.pop q with
-          | None -> ()
-          | item ->
-              out := item :: !out;
-              drain ()
-        in
-        drain ();
-        List.rev !out
-      in
-      run Evq.Heap = run Evq.Calendar)
+let prop_vs_model name queue =
+  QCheck.Test.make ~name ~count:300 arb_ops (fun ops -> apply_ops queue ops)
 
 (* Deterministic spot-checks of the calendar's awkward corners. *)
 
+let show_item = function
+  | None -> "empty"
+  | Some (a, s, _) -> Printf.sprintf "(%d,%d)" a s
+
 let test_same_instant_fifo () =
-  List.iter
-    (fun impl ->
-      let q = Evq.create impl in
-      for seq = 0 to 99 do
-        Evq.push q ~at:42 ~seq seq
-      done;
-      for expect = 0 to 99 do
-        match Evq.pop q with
-        | Some (42, s, v) when s = expect && v = expect -> ()
-        | got ->
-            Alcotest.failf "%s: same-instant pop %d mismatch: %s"
-              (Evq.impl_to_string (Evq.impl q))
-              expect
-              (match got with
-              | None -> "empty"
-              | Some (a, s, _) -> Printf.sprintf "(%d,%d)" a s)
-      done)
-    Evq.all_impls
+  let q = Calq.create () in
+  for seq = 0 to 99 do
+    Calq.push q ~at:42 ~seq seq
+  done;
+  for expect = 0 to 99 do
+    match Calq.pop q with
+    | Some (42, s, v) when s = expect && v = expect -> ()
+    | got ->
+        Alcotest.failf "same-instant pop %d mismatch: %s" expect
+          (show_item got)
+  done
 
 let test_horizon_clamp () =
   (* Timestamps near max_int force the calendar's window arithmetic to
      clamp instead of overflowing; order must survive. *)
+  let q = Calq.create () in
+  let times = [ max_int - 1; 5; max_int; 0; max_int - 7; 3 ] in
+  List.iteri (fun seq at -> Calq.push q ~at ~seq seq) times;
+  let sorted = List.sort compare (List.mapi (fun seq at -> (at, seq)) times) in
   List.iter
-    (fun impl ->
-      let q = Evq.create impl in
-      let times = [ max_int - 1; 5; max_int; 0; max_int - 7; 3 ] in
-      List.iteri (fun seq at -> Evq.push q ~at ~seq seq) times;
-      let sorted =
-        List.sort compare (List.mapi (fun seq at -> (at, seq)) times)
-      in
-      List.iter
-        (fun (at, seq) ->
-          match Evq.pop q with
-          | Some (a, s, _) when a = at && s = seq -> ()
-          | got ->
-              Alcotest.failf "%s: expected (%d,%d), got %s"
-                (Evq.impl_to_string (Evq.impl q))
-                at seq
-                (match got with
-                | None -> "empty"
-                | Some (a, s, _) -> Printf.sprintf "(%d,%d)" a s))
-        sorted;
-      Alcotest.(check bool)
-        "drained" true (Evq.is_empty q))
-    Evq.all_impls
+    (fun (at, seq) ->
+      match Calq.pop q with
+      | Some (a, s, _) when a = at && s = seq -> ()
+      | got -> Alcotest.failf "expected (%d,%d), got %s" at seq (show_item got))
+    sorted;
+  Alcotest.(check bool) "drained" true (Calq.is_empty q)
 
 let test_interleaved_rewindow () =
   (* Pop partway into the window, then push both behind the consumed
      front and into the far future: the calendar routes the former into
      its ordered front heap and the latter through a rewindow; the pop
      stream must still be globally (at, seq)-sorted. *)
-  List.iter
-    (fun impl ->
-      let q = Evq.create impl in
-      let seq = ref 0 in
-      let push at =
-        Evq.push q ~at ~seq:!seq ();
-        incr seq
-      in
-      List.iter push [ 10; 20; 30; 40_000; 50_000 ];
-      (match Evq.pop q with
-      | Some (10, _, _) -> ()
-      | _ -> Alcotest.fail "first pop");
-      (* Behind the consumed band and far beyond the current horizon. *)
-      List.iter push [ 11; 15; 9_000_000; 25 ];
-      let rec drain acc =
-        match Evq.pop q with
-        | None -> List.rev acc
-        | Some (at, _, _) -> drain (at :: acc)
-      in
-      let got = drain [] in
-      Alcotest.(check (list int))
-        (Evq.impl_to_string (Evq.impl q) ^ ": global order")
-        [ 11; 15; 20; 25; 30; 40_000; 50_000; 9_000_000 ]
-        got)
-    Evq.all_impls
+  let q = Calq.create () in
+  let seq = ref 0 in
+  let push at =
+    Calq.push q ~at ~seq:!seq ();
+    incr seq
+  in
+  List.iter push [ 10; 20; 30; 40_000; 50_000 ];
+  (match Calq.pop q with
+  | Some (10, _, _) -> ()
+  | _ -> Alcotest.fail "first pop");
+  (* Behind the consumed band and far beyond the current horizon. *)
+  List.iter push [ 11; 15; 9_000_000; 25 ];
+  let rec drain acc =
+    match Calq.pop q with
+    | None -> List.rev acc
+    | Some (at, _, _) -> drain (at :: acc)
+  in
+  Alcotest.(check (list int))
+    "global order"
+    [ 11; 15; 20; 25; 30; 40_000; 50_000; 9_000_000 ]
+    (drain [])
 
 let test_dummy_slot_clearing () =
   (* Payloads popped from a queue created with ~dummy must be
      collectable immediately: no internal slot (front heap, bucket, far
      heap) may retain them. This is what keeps executed engine closures
      from pinning machine graphs. *)
-  List.iter
-    (fun impl ->
-      let n = 64 in
-      let weak = Weak.create n in
-      let q = Evq.create ~dummy:(Bytes.create 0) impl in
-      for i = 0 to n - 1 do
-        let payload = Bytes.make 16 'p' in
-        Weak.set weak i (Some payload);
-        (* Spread across bands: near, bucketed, far. *)
-        Evq.push q ~at:(i * 1_000_003) ~seq:i payload
-      done;
-      for _ = 1 to n do
-        ignore (Evq.pop_exn q)
-      done;
-      Alcotest.(check bool) "drained" true (Evq.is_empty q);
-      Gc.full_major ();
-      let live = ref 0 in
-      for i = 0 to n - 1 do
-        if Weak.check weak i then incr live
-      done;
-      Alcotest.(check int)
-        (Evq.impl_to_string (Evq.impl q) ^ ": retained payloads")
-        0 !live)
-    Evq.all_impls
+  let n = 64 in
+  let weak = Weak.create n in
+  let q = Calq.create ~dummy:(Bytes.create 0) () in
+  for i = 0 to n - 1 do
+    let payload = Bytes.make 16 'p' in
+    Weak.set weak i (Some payload);
+    (* Spread across bands: near, bucketed, far. *)
+    Calq.push q ~at:(i * 1_000_003) ~seq:i payload
+  done;
+  for _ = 1 to n do
+    ignore (Calq.pop_exn q)
+  done;
+  Alcotest.(check bool) "drained" true (Calq.is_empty q);
+  Gc.full_major ();
+  let live = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check weak i then incr live
+  done;
+  Alcotest.(check int) "retained payloads" 0 !live
 
 let test_next_at_matches_peek () =
-  List.iter
-    (fun impl ->
-      let q = Evq.create impl in
-      Alcotest.(check int) "empty sentinel" (-1) (Evq.next_at q);
-      Evq.push q ~at:17 ~seq:0 ();
-      Evq.push q ~at:5 ~seq:1 ();
-      Alcotest.(check int) "min" 5 (Evq.next_at q);
-      Alcotest.(check (option int))
-        "peek agrees" (Some 5) (Evq.peek_time q);
-      ignore (Evq.pop_exn q);
-      Alcotest.(check int) "after pop" 17 (Evq.next_at q))
-    Evq.all_impls
-
-(* ---------- engine-level equivalence: the headline guarantee ---------- *)
-
-let contains ~affix s =
-  let n = String.length affix and m = String.length s in
-  let rec at i = i + n <= m && (String.sub s i n = affix || at (i + 1)) in
-  n = 0 || at 0
-
-let strip_host_ms s =
-  String.split_on_char '\n' s
-  |> List.filter (fun line ->
-         not
-           (String.length line > 0
-           && line.[0] = '('
-           && contains ~affix:"ms host time" line))
-  |> String.concat "\n"
-
-let json_digest j = Digest.to_hex (Digest.string (Obs.Json.to_string j))
-
-let test_cross_evq_suite_identical () =
-  let suite evq =
-    Experiments.Registry.run_all ~quick:true ~observe:true ~evq ~jobs:1 ()
-  in
-  let heap = suite Evq.Heap and cal = suite Evq.Calendar in
-  Alcotest.(check int)
-    "experiment count" (List.length heap) (List.length cal);
-  List.iter2
-    (fun (a : Experiments.Registry.outcome)
-         (b : Experiments.Registry.outcome) ->
-      let id = a.spec.Experiments.Registry.id in
-      Alcotest.(check string)
-        (id ^ ": rendered tables identical")
-        (strip_host_ms a.output) (strip_host_ms b.output);
-      Alcotest.(check int)
-        (id ^ ": events processed identical")
-        a.events_processed b.events_processed;
-      (match (a.slo, b.slo) with
-      | Some sa, Some sb ->
-          Alcotest.(check string)
-            (id ^ ": SLO digest identical")
-            (json_digest (Obs.Slo.to_json sa))
-            (json_digest (Obs.Slo.to_json sb))
-      | None, None -> ()
-      | _ -> Alcotest.failf "%s: SLO presence differs across evq" id);
-      match (a.sink, b.sink) with
-      | Some sa, Some sb ->
-          Alcotest.(check string)
-            (id ^ ": metrics JSON identical")
-            (Obs.Json.to_string (Obs.Metrics.to_json sa.Obs.Sink.metrics))
-            (Obs.Json.to_string (Obs.Metrics.to_json sb.Obs.Sink.metrics));
-          Alcotest.(check string)
-            (id ^ ": span digest identical")
-            (json_digest
-               (Obs.Critpath.ispans_to_json
-                  (Obs.Critpath.ispans_of_recorder sa.Obs.Sink.spans)))
-            (json_digest
-               (Obs.Critpath.ispans_to_json
-                  (Obs.Critpath.ispans_of_recorder sb.Obs.Sink.spans)));
-          Alcotest.(check string)
-            (id ^ ": causal-DAG digest identical")
-            (json_digest (Obs.Causal.to_json sa.Obs.Sink.causal))
-            (json_digest (Obs.Causal.to_json sb.Obs.Sink.causal))
-      | _ -> Alcotest.failf "%s: observed run is missing its sink" id)
-    heap cal
+  let q = Calq.create () in
+  Alcotest.(check int) "empty sentinel" (-1) (Calq.next_at q);
+  Calq.push q ~at:17 ~seq:0 ();
+  Calq.push q ~at:5 ~seq:1 ();
+  Alcotest.(check int) "min" 5 (Calq.next_at q);
+  Alcotest.(check (option int)) "peek agrees" (Some 5) (Calq.peek_time q);
+  ignore (Calq.pop_exn q);
+  Alcotest.(check int) "after pop" 17 (Calq.next_at q)
 
 (* ---------- metrics interning ---------- *)
 
@@ -476,7 +366,7 @@ let test_kind_mismatch_raises () =
       Obs.Metrics.observe m "x" 1.)
 
 let () =
-  Alcotest.run "evq"
+  Alcotest.run "calq"
     [
       ( "contract",
         [
@@ -494,15 +384,9 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
-            prop_vs_model "heap vs sorted-list model" Evq.Heap;
-            prop_vs_model "calendar vs sorted-list model" Evq.Calendar;
-            prop_cross_impl;
+            prop_vs_model "heap vs sorted-list model" (module Eheap);
+            prop_vs_model "calendar vs sorted-list model" (module Calq);
           ] );
-      ( "equivalence",
-        [
-          Alcotest.test_case "same-seed suite bit-identical across evq"
-            `Quick test_cross_evq_suite_identical;
-        ] );
       ( "interning",
         [
           Alcotest.test_case "cells distinct across kernels" `Quick
