@@ -475,8 +475,9 @@ let profile_cmd =
 let analyze_cmd =
   let file =
     let doc =
-      "Results file from --json (popcornsim-bench-v2) or Chrome trace from \
-       --trace-out."
+      "Results file from --json (popcornsim-bench-v2, flat or object-array \
+       causal sections) or Chrome trace from --trace-out (its top-level \
+       causal log, or flow-event args in older traces)."
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
   in
@@ -495,7 +496,10 @@ let analyze_cmd =
        ~doc:
          "Reconstruct the cross-kernel happens-before DAG from an exported \
           run and print per-subsystem self time plus the critical path of \
-          each migration / thread-group-create.")
+          each migration / thread-group-create. A results document yields \
+          one report per observed experiment; a trace yields one report \
+          labelled $(b,trace), whose deadline counters are absent because \
+          a trace carries no metrics.")
     Term.(ret (const run $ file))
 
 (* --- diff --- *)

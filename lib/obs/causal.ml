@@ -41,45 +41,67 @@ let link t ~id ~span = push t (Link { id; run = run t; span })
 let events t = List.rev t.acc
 let count t = t.count
 
-(* --- JSON (rides in the results document; see DESIGN.md, causal model) --- *)
+(* --- JSON (rides in the results document and the Chrome trace; see
+   DESIGN.md, causal model). One flat integer array in emission order:
+   each event is its kind tag followed by that kind's fixed fields, so the
+   section repeats no keys and decodes without a per-event object. Tags:
+   0 send (id run src dst at bytes from_span, -1 for none), 1 deliver (id
+   run dst at), 2 link (id run span). --- *)
 
-let opt_int = function None -> Json.Null | Some i -> Json.Int i
+let format = "causal-flat-v1"
 
-let event_json = function
+(* Prepend [e]'s encoding, run shifted by [off], to [tl]. Walking the
+   newest-first accumulator and prepending builds the array front to back
+   without reversing anything. *)
+let cons_event off e tl =
+  let i n = Json.Int n in
+  match e with
   | Send { id; run; src; dst; at; bytes; from_span } ->
-      Json.Obj
-        [
-          ("ev", Json.Str "send");
-          ("id", Json.Int id);
-          ("run", Json.Int run);
-          ("src", Json.Int src);
-          ("dst", Json.Int dst);
-          ("at", Json.Int at);
-          ("bytes", Json.Int bytes);
-          ("from_span", opt_int from_span);
-        ]
+      Json.Int 0 :: i id :: i (run + off) :: i src :: i dst :: i at :: i bytes
+      :: i (Option.value from_span ~default:(-1))
+      :: tl
   | Deliver { id; run; dst; at } ->
-      Json.Obj
-        [
-          ("ev", Json.Str "deliver");
-          ("id", Json.Int id);
-          ("run", Json.Int run);
-          ("dst", Json.Int dst);
-          ("at", Json.Int at);
-        ]
-  | Link { id; run; span } ->
-      Json.Obj
-        [
-          ("ev", Json.Str "link");
-          ("id", Json.Int id);
-          ("run", Json.Int run);
-          ("span", Json.Int span);
-        ]
+      Json.Int 1 :: i id :: i (run + off) :: i dst :: i at :: tl
+  | Link { id; run; span } -> Json.Int 2 :: i id :: i (run + off) :: i span :: tl
 
-let to_json t = Json.Arr (List.map event_json (events t))
+let merged_json recorders =
+  let data =
+    List.fold_right
+      (fun (t, off) tl ->
+        List.fold_left (fun tl e -> cons_event off e tl) tl t.acc)
+      recorders []
+  in
+  Json.Obj [ ("format", Json.Str format); ("data", Json.Arr data) ]
 
-(* Tolerant decoding: an analyzer must survive truncated or hand-edited
-   documents, so unknown shapes are skipped rather than fatal. *)
+let to_json t = merged_json [ (t, 0) ]
+
+(* Every complete event of a flat array, stopping at the first truncated
+   or malformed one. *)
+let[@tail_mod_cons] rec decode_flat = function
+  | Json.Int 0 :: Json.Int id :: Json.Int run :: Json.Int src :: Json.Int dst
+    :: Json.Int at :: Json.Int bytes :: Json.Int from :: rest ->
+      Send
+        {
+          id;
+          run;
+          src;
+          dst;
+          at;
+          bytes;
+          from_span = (if from < 0 then None else Some from);
+        }
+      :: decode_flat rest
+  | Json.Int 1 :: Json.Int id :: Json.Int run :: Json.Int dst :: Json.Int at
+    :: rest ->
+      Deliver { id; run; dst; at } :: decode_flat rest
+  | Json.Int 2 :: Json.Int id :: Json.Int run :: Json.Int span :: rest ->
+      Link { id; run; span } :: decode_flat rest
+  | _ -> []
+
+(* Object-shaped events: the causal sections of documents and the flow
+   args of traces written before the flat encoding. Decoding is tolerant:
+   an analyzer must survive truncated or hand-edited documents, so unknown
+   shapes are skipped rather than fatal. *)
 
 let field k = function Json.Obj fs -> List.assoc_opt k fs | _ -> None
 
@@ -133,6 +155,10 @@ let event_of_json j =
                    })))
   | _ -> None
 
-let events_of_json = function
-  | Json.Arr items -> List.filter_map event_of_json items
-  | _ -> []
+let events_of_json j =
+  match (field "format" j, field "data" j) with
+  | Some (Json.Str f), Some (Json.Arr data) when f = format -> decode_flat data
+  | _ -> (
+      match j with
+      | Json.Arr items -> List.filter_map event_of_json items
+      | _ -> [])

@@ -56,13 +56,25 @@ val events : t -> event list
 val count : t -> int
 
 val to_json : t -> Json.t
-(** Array of event objects ([{"ev":"send"|"deliver"|"link", ...}]). *)
+(** The "causal" section of a results document:
+    [{"format":"causal-flat-v1","data":[...]}], where [data] is one flat
+    integer array holding every event in emission order. Each event is a
+    kind tag followed by that kind's fixed fields:
+    - [0] send: id, run, src, dst, at, bytes, from_span ([-1] for none);
+    - [1] deliver: id, run, dst, at;
+    - [2] link: id, run, span. *)
+
+val merged_json : (t * int) list -> Json.t
+(** One {!to_json} section holding several recorders' events, recorder
+    after recorder, each recorder's run numbers shifted by its offset. *)
 
 val event_of_json : Json.t -> event option
-(** Decode one event object; [None] on anything malformed. Also decodes
-    the [args] objects of {!Export.chrome_trace} causal flow events (same
-    shape). *)
+(** Decode one event object ([{"ev":"send"|"deliver"|"link", ...}], the
+    shape of causal sections and of Chrome-trace flow-event args written
+    before the flat encoding); [None] on anything malformed. *)
 
 val events_of_json : Json.t -> event list
-(** Tolerant inverse of {!to_json}: malformed or unknown entries are
-    skipped, so truncated documents still decode. *)
+(** Inverse of {!to_json}; also reads the older array of event objects.
+    Tolerant: a flat section decodes every complete event and stops at the
+    first truncated or malformed one; in an object array, malformed or
+    unknown entries are skipped. Anything else decodes to []. *)

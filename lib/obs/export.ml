@@ -5,9 +5,10 @@
    one "thread" row per simulated tid (row 0 for kernel-level spans).
 
    Every span event also carries exact-nanosecond [start_ns]/[stop_ns] args
-   (plus ids and parent links) so `popcornsim analyze` can reconstruct the
-   span forest from the trace file without precision loss; causal events
-   (message send/deliver/link) ride along as flow events in cat "causal". *)
+   (plus ids, offset-adjusted run and parent links) so `popcornsim analyze`
+   can reconstruct the span forest from the trace file without precision
+   loss. Messages are drawn as bare flow events in cat "causal"; the causal
+   log itself rides once, as the document's flat "causal" member. *)
 
 let us ns = float_of_int ns /. 1_000.
 
@@ -22,7 +23,7 @@ let span_event ~run_offset ~run_end (s : Span.span) =
   let stop = if s.stop < 0 then Stdlib.max s.start (run_end s.run) else s.stop in
   let args =
     [ ("span_id", Json.Int s.id); ("kernel", Json.Int s.kernel);
-      ("run", Json.Int s.run);
+      ("run", Json.Int (run_offset + s.run));
       ("start_ns", Json.Int s.start); ("stop_ns", Json.Int stop) ]
     @ (if s.stop < 0 then [ ("unclosed", Json.Bool true) ] else [])
     @ (match s.parent with
@@ -66,85 +67,72 @@ let trace_event (e : Sim.Trace.event) =
 (* Flow-event id: unique per (run, message) within one export. *)
 let flow_id ~run_offset ~run id = (((run_offset + run) * 1_000_000) + id)
 
+(* A message as a viewer arrow from the sending to the delivering track:
+   only the fields the viewer draws. The causal record itself rides once,
+   in the document's "causal" member; link records have no arrow. *)
+let flow_event ~run_offset ~run ~id ~at ~kernel ~finish =
+  let rest =
+    [
+      ("id", Json.Int (flow_id ~run_offset ~run id));
+      ("ts", Json.Float (us at));
+      ("pid", Json.Int (pid_of_kernel ~run_offset ~run ~kernel));
+      ("tid", Json.Int 0);
+    ]
+  in
+  Json.Obj
+    (("name", Json.Str "msg") :: ("cat", Json.Str "causal")
+    ::
+    (if finish then ("ph", Json.Str "f") :: ("bp", Json.Str "e") :: rest
+     else ("ph", Json.Str "s") :: rest))
+
 let causal_event ~run_offset (e : Causal.event) =
   match e with
-  | Causal.Send { id; run; src; dst; at; bytes; from_span } ->
-      Json.Obj
-        [
-          ("name", Json.Str "msg");
-          ("cat", Json.Str "causal");
-          ("ph", Json.Str "s");
-          ("id", Json.Int (flow_id ~run_offset ~run id));
-          ("ts", Json.Float (us at));
-          ("pid", Json.Int (pid_of_kernel ~run_offset ~run ~kernel:src));
-          ("tid", Json.Int 0);
-          ( "args",
-            Json.Obj
-              ([
-                 ("ev", Json.Str "send");
-                 ("id", Json.Int id);
-                 ("run", Json.Int run);
-                 ("src", Json.Int src);
-                 ("dst", Json.Int dst);
-                 ("at", Json.Int at);
-                 ("bytes", Json.Int bytes);
-               ]
-              @
-              match from_span with
-              | None -> []
-              | Some sp -> [ ("from_span", Json.Int sp) ]) );
-        ]
+  | Causal.Send { id; run; src; at; _ } ->
+      Some (flow_event ~run_offset ~run ~id ~at ~kernel:src ~finish:false)
   | Causal.Deliver { id; run; dst; at } ->
-      Json.Obj
-        [
-          ("name", Json.Str "msg");
-          ("cat", Json.Str "causal");
-          ("ph", Json.Str "f");
-          ("bp", Json.Str "e");
-          ("id", Json.Int (flow_id ~run_offset ~run id));
-          ("ts", Json.Float (us at));
-          ("pid", Json.Int (pid_of_kernel ~run_offset ~run ~kernel:dst));
-          ("tid", Json.Int 0);
-          ( "args",
-            Json.Obj
-              [
-                ("ev", Json.Str "deliver");
-                ("id", Json.Int id);
-                ("run", Json.Int run);
-                ("dst", Json.Int dst);
-                ("at", Json.Int at);
-              ] );
-        ]
-  | Causal.Link { id; run; span } ->
-      (* No timestamp of its own: a pure edge record (message -> span). *)
-      Json.Obj
-        [
-          ("name", Json.Str "link");
-          ("cat", Json.Str "causal");
-          ("ph", Json.Str "i");
-          ("s", Json.Str "t");
-          ("ts", Json.Float 0.);
-          ("pid", Json.Int 0);
-          ("tid", Json.Int 0);
-          ( "args",
-            Json.Obj
-              [
-                ("ev", Json.Str "link");
-                ("id", Json.Int id);
-                ("run", Json.Int run);
-                ("span", Json.Int span);
-              ] );
-        ]
+      Some (flow_event ~run_offset ~run ~id ~at ~kernel:dst ~finish:true)
+  | Causal.Link _ -> None
+
+let event_run : Causal.event -> int = function
+  | Causal.Send { run; _ } | Causal.Deliver { run; _ } | Causal.Link { run; _ }
+    ->
+      run
+
+(* Causal recorders pair positionally with span recorders: a sink holds one
+   of each, with the same run numbering. *)
+let rec pair spans causal =
+  match (spans, causal) with
+  | [], [] -> []
+  | s :: st, c :: ct -> (Some s, Some c) :: pair st ct
+  | s :: st, [] -> (Some s, None) :: pair st []
+  | [], c :: ct -> (None, Some c) :: pair [] ct
 
 let chrome_trace ?(spans = []) ?(causal = []) ?(traces = []) () =
   let events = ref [] in
   let push e = events := e :: !events in
   if traces <> [] then push (process_meta ~pid:0 "trace ring");
-  let run_offset = ref 0 in
-  let offsets = ref [] (* per span-recorder starting offset, in order *) in
+  (* Each recorder pair owns the runs from its offset to its offset plus
+     the last run its spans or messages mention; the next pair starts
+     after that, so tracks, span runs and causal runs never collide. *)
+  let _, placed =
+    List.fold_left
+      (fun (off, acc) (sp, c) ->
+        let spans = match sp with Some r -> Span.spans r | None -> [] in
+        let causal = match c with Some c -> Causal.events c | None -> [] in
+        let last =
+          List.fold_left
+            (fun m (s : Span.span) -> Stdlib.max m s.run)
+            (-1) spans
+        in
+        let last =
+          List.fold_left (fun m e -> Stdlib.max m (event_run e)) last causal
+        in
+        (off + last + 1, (off, spans, c, causal) :: acc))
+      (0, []) (pair spans causal)
+  in
+  let placed = List.rev placed in
   List.iter
-    (fun rec_ ->
-      offsets := !run_offset :: !offsets;
+    (fun (run_offset, spans, _, _) ->
       let seen_pids = Hashtbl.create 8 in
       (* End-of-run timestamps for clamping unclosed spans. *)
       let run_ends = Hashtbl.create 4 in
@@ -155,43 +143,38 @@ let chrome_trace ?(spans = []) ?(causal = []) ?(traces = []) () =
             Option.value (Hashtbl.find_opt run_ends s.run) ~default:0
           in
           Hashtbl.replace run_ends s.run (Stdlib.max cur upper))
-        (Span.spans rec_);
+        spans;
       let run_end r = Option.value (Hashtbl.find_opt run_ends r) ~default:0 in
       List.iter
         (fun (s : Span.span) ->
-          let pid = pid_of ~run_offset:!run_offset s in
+          let pid = pid_of ~run_offset s in
           if not (Hashtbl.mem seen_pids pid) then begin
             Hashtbl.add seen_pids pid ();
             push
               (process_meta ~pid
-                 (Printf.sprintf "run %d / kernel %d"
-                    (!run_offset + s.run) s.kernel))
+                 (Printf.sprintf "run %d / kernel %d" (run_offset + s.run)
+                    s.kernel))
           end;
-          push (span_event ~run_offset:!run_offset ~run_end s))
-        (Span.spans rec_);
-      (* Reserve this recorder's run range before the next one starts. *)
-      let max_run =
-        List.fold_left
-          (fun m (s : Span.span) -> Stdlib.max m s.run)
-          (-1) (Span.spans rec_)
-      in
-      run_offset := !run_offset + max_run + 1)
-    spans;
-  (* Causal recorders pair positionally with span recorders (a sink holds
-     one of each), so their events land on the same offset-adjusted pids. *)
-  let offsets = Array.of_list (List.rev !offsets) in
-  List.iteri
-    (fun i c ->
-      let off = if i < Array.length offsets then offsets.(i) else 0 in
+          push (span_event ~run_offset ~run_end s))
+        spans)
+    placed;
+  List.iter
+    (fun (run_offset, _, _, causal) ->
       List.iter
-        (fun e -> push (causal_event ~run_offset:off e))
-        (Causal.events c))
-    causal;
+        (fun e -> Option.iter push (causal_event ~run_offset e))
+        causal)
+    placed;
   List.iter
     (fun tr -> List.iter (fun e -> push (trace_event e)) (Sim.Trace.events tr))
     traces;
+  let causal =
+    List.filter_map
+      (fun (off, _, c, _) -> Option.map (fun c -> (c, off)) c)
+      placed
+  in
   Json.Obj
-    [
-      ("traceEvents", Json.Arr (List.rev !events));
-      ("displayTimeUnit", Json.Str "ns");
-    ]
+    ([
+       ("traceEvents", Json.Arr (List.rev !events));
+       ("displayTimeUnit", Json.Str "ns");
+     ]
+    @ if causal = [] then [] else [ ("causal", Causal.merged_json causal) ])

@@ -34,8 +34,11 @@ let arr_field k j = match field k j with Some (Json.Arr l) -> l | _ -> []
 
 (* --- document -> datasets --- *)
 
-(* Chrome trace: span X-events carry exact-ns args; causal flow events
-   carry args in the same shape as Causal.to_json entries. *)
+(* Chrome trace: span X-events carry exact-ns args, and a span drawn to
+   the end of its run because it never closed reads back as open, so the
+   analysis clamps it as it would in a results document. The causal log is
+   the top-level "causal" member; traces written before it existed carry
+   each event as the args of its flow event instead. *)
 let datasets_of_chrome_trace j =
   let events = arr_field "traceEvents" j in
   let spans =
@@ -62,7 +65,11 @@ let datasets_of_chrome_trace j =
                         run = Option.value (int_field "run" args) ~default:0;
                         start;
                         stop =
-                          Option.value (int_field "stop_ns" args) ~default:(-1);
+                          (if field "unclosed" args = Some (Json.Bool true)
+                           then -1
+                           else
+                             Option.value (int_field "stop_ns" args)
+                               ~default:(-1));
                       }
                 | _ -> None)
             | None -> None)
@@ -70,12 +77,15 @@ let datasets_of_chrome_trace j =
       events
   in
   let causal =
-    List.filter_map
-      (fun e ->
-        match str_field "cat" e with
-        | Some "causal" -> Option.bind (field "args" e) Causal.event_of_json
-        | _ -> None)
-      events
+    match field "causal" j with
+    | Some c -> Causal.events_of_json c
+    | None ->
+        List.filter_map
+          (fun e ->
+            match str_field "cat" e with
+            | Some "causal" -> Option.bind (field "args" e) Causal.event_of_json
+            | _ -> None)
+          events
   in
   if spans = [] && causal = [] then []
   else [ { label = "trace"; spans; causal; slo_counters = Slo.no_counters } ]
@@ -183,7 +193,9 @@ let analyze_doc j =
   | [] ->
       Error
         "no span/causal data found (expected a popcornsim-bench-v2 results \
-         document produced with --json, or a Chrome trace from --trace-out)"
+         document produced with --json from an observed run, whose \
+         experiments carry \"spans\" and \"causal\" sections, or a Chrome \
+         trace from --trace-out; a --baseline-out document has neither)"
   | ds -> Ok (String.concat "\n" (List.map render_analysis ds))
 
 (* --- diff --- *)

@@ -4,7 +4,10 @@
     Accepts either a results document ([popcornsim-bench-v2], whose
     experiments carry "spans" and "causal" sections) or a Chrome trace
     file written by {!Export.chrome_trace} (spans are reconstructed from
-    the exact-nanosecond args). All output is a pure function of the
+    the exact-nanosecond args, the causal log from the trace's "causal"
+    member, or from flow-event args in traces written before it). Causal
+    sections may be flat ({!Causal.to_json}) or the older array of event
+    objects; both analyze identically. All output is a pure function of the
     document contents — no wall clock, no randomness — so reports diff
     cleanly across runs. *)
 

@@ -7,6 +7,13 @@ let contains ~sub s =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
+let member k = function Obs.Json.Obj fs -> List.assoc_opt k fs | _ -> None
+
+let trace_events doc =
+  match member "traceEvents" doc with
+  | Some (Obs.Json.Arr l) -> l
+  | _ -> Alcotest.fail "traceEvents must be an array"
+
 (* Same shape as test_obs's workload, with the causal recorder attached:
    two threads, each migrating once between two kernels. *)
 let run_workload ~sink ~seed () =
@@ -217,19 +224,31 @@ let test_critical_path_of_real_run () =
            p.Obs.Critpath.segs))
     roots
 
+(* Observed quick runs of F6 and R4, shared by every test that needs a
+   real trace (R4 leaves spans open and loses messages). *)
+let observed =
+  List.map
+    (fun id ->
+      ( id,
+        lazy
+          (let e =
+             match Experiments.Registry.find id with
+             | Some e -> e
+             | None -> Alcotest.failf "%s not registered" id
+           in
+           Experiments.Registry.run_one ~quick:true ~observe:true e) ))
+    [ "F6"; "R4" ]
+
+let observed_outcome id = Lazy.force (List.assoc id observed)
+let observed_sink id = Option.get (observed_outcome id).Experiments.Registry.sink
+
 (* The selection shortcut behind Slo and analyze: a root's latency is its
    clamped window, so ranking roots needs no critical path. Guarded on
    every migration and remote thread creation of two observed runs. *)
 let test_duration_is_path_total () =
   List.iter
     (fun id ->
-      let e =
-        match Experiments.Registry.find id with
-        | Some e -> e
-        | None -> Alcotest.failf "%s not registered" id
-      in
-      let o = Experiments.Registry.run_one ~quick:true ~observe:true e in
-      let sink = Option.get o.Experiments.Registry.sink in
+      let sink = observed_sink id in
       let ix =
         Obs.Critpath.build_index
           ~spans:(Obs.Critpath.ispans_of_recorder sink.Obs.Sink.spans)
@@ -618,6 +637,19 @@ let test_export_clamps_unclosed () =
   Obs.Span.finish closed ~at:800;
   ignore open_span;
   let doc = Obs.Export.chrome_trace ~spans:[ rec_ ] () in
+  (* Drawn to the end of its run, and flagged. *)
+  let drawn =
+    List.find_map
+      (fun e ->
+        match (member "name" e, member "args" e) with
+        | Some (Obs.Json.Str "migration"), Some args ->
+            Some (member "dur" e, member "unclosed" args)
+        | _ -> None)
+      (trace_events doc)
+  in
+  Alcotest.(check bool) "drawn to end of run, flagged unclosed" true
+    (drawn = Some (Some (Obs.Json.Float 0.7), Some (Obs.Json.Bool true)));
+  (* Read back as open, so the analysis applies its own clamp. *)
   match Obs.Report.datasets_of_doc doc with
   | [ d ] -> (
       match
@@ -626,9 +658,372 @@ let test_export_clamps_unclosed () =
           d.Obs.Report.spans
       with
       | Some s ->
-          Alcotest.(check int) "clamped to end of run" 800 s.Obs.Critpath.stop
+          Alcotest.(check int) "read back as open" (-1) s.Obs.Critpath.stop;
+          let ix =
+            Obs.Critpath.build_index ~spans:d.Obs.Report.spans
+              ~causal:d.Obs.Report.causal
+          in
+          Alcotest.(check int) "clamped to end of run" 700
+            (Obs.Critpath.duration ix s)
       | None -> Alcotest.fail "migration span missing from export")
   | ds -> Alcotest.failf "expected one dataset, got %d" (List.length ds)
+
+(* --- the flat causal encoding --- *)
+
+(* The object-array encoding causal sections had before the flat one,
+   kept here only as the reference that analysis must not tell apart. *)
+let legacy_event_json (e : Obs.Causal.event) =
+  let open Obs.Json in
+  match e with
+  | Obs.Causal.Send { id; run; src; dst; at; bytes; from_span } ->
+      Obj
+        [
+          ("ev", Str "send"); ("id", Int id); ("run", Int run);
+          ("src", Int src); ("dst", Int dst); ("at", Int at);
+          ("bytes", Int bytes);
+          ( "from_span",
+            match from_span with None -> Null | Some sp -> Int sp );
+        ]
+  | Obs.Causal.Deliver { id; run; dst; at } ->
+      Obj
+        [
+          ("ev", Str "deliver"); ("id", Int id); ("run", Int run);
+          ("dst", Int dst); ("at", Int at);
+        ]
+  | Obs.Causal.Link { id; run; span } ->
+      Obj
+        [
+          ("ev", Str "link"); ("id", Int id); ("run", Int run);
+          ("span", Int span);
+        ]
+
+let reparse j =
+  match Obs.Json.of_string (Obs.Json.to_string j) with
+  | Ok j -> j
+  | Error e -> Alcotest.fail e
+
+let analyze j =
+  match Obs.Report.analyze_doc j with
+  | Ok r -> r
+  | Error e -> Alcotest.fail e
+
+(* [f] applied to the "causal" section of every experiment of a results
+   document. *)
+let map_causal f doc =
+  let open Obs.Json in
+  let exp = function
+    | Obj fs ->
+        Obj (List.map (function "causal", c -> ("causal", f c) | kv -> kv) fs)
+    | j -> j
+  in
+  match doc with
+  | Obj fs ->
+      Obj
+        (List.map
+           (function
+             | "experiments", Arr es -> ("experiments", Arr (List.map exp es))
+             | kv -> kv)
+           fs)
+  | j -> j
+
+let causal_sections doc =
+  match member "experiments" doc with
+  | Some (Obs.Json.Arr es) -> List.filter_map (member "causal") es
+  | _ -> []
+
+let test_flat_equals_legacy () =
+  List.iter
+    (fun id ->
+      let o = observed_outcome id in
+      let events = Obs.Causal.events (observed_sink id).Obs.Sink.causal in
+      let flat = reparse (Experiments.Registry.report_json ~quick:true [ o ]) in
+      let legacy =
+        reparse
+          (map_causal
+             (fun _ -> Obs.Json.Arr (List.map legacy_event_json events))
+             flat)
+      in
+      List.iter
+        (fun (shape, doc) ->
+          match causal_sections doc with
+          | [ c ] ->
+              Alcotest.(check bool) (id ^ ": " ^ shape ^ " section decodes")
+                true
+                (Obs.Causal.events_of_json c = events)
+          | _ -> Alcotest.failf "%s: one causal section expected" id)
+        [ ("flat", flat); ("legacy", legacy) ];
+      Alcotest.(check string) (id ^ ": analyze output") (analyze legacy)
+        (analyze flat))
+    [ "F6"; "R4" ]
+
+let width : Obs.Causal.event -> int = function
+  | Obs.Causal.Send _ -> 8
+  | Obs.Causal.Deliver _ -> 5
+  | Obs.Causal.Link _ -> 4
+
+(* The longest prefix of [events] whose encoding fits in [n] integers. *)
+let rec fitting n = function
+  | e :: rest when width e <= n -> e :: fitting (n - width e) rest
+  | _ -> []
+
+let test_flat_truncation () =
+  let sink = Obs.Sink.create () in
+  ignore (run_workload ~sink ~seed:42 ());
+  let events = Obs.Causal.events sink.Obs.Sink.causal in
+  let text = Obs.Json.to_string (Obs.Causal.to_json sink.Obs.Sink.causal) in
+  let data = String.index text '[' + 1 in
+  (* Byte offset of the first integer of the third-last event. *)
+  let ints_before =
+    List.fold_left ( + ) 0
+      (List.filteri
+         (fun i _ -> i < List.length events - 3)
+         (List.map width events))
+  in
+  let rec after_commas pos k =
+    if k = 0 then pos else after_commas (String.index_from text pos ',' + 1) (k - 1)
+  in
+  let first = after_commas data ints_before in
+  for cut = first to String.length text do
+    (* A section cut at [cut]: keep the integers the cut left whole, then
+       close the array again. *)
+    let prefix = String.sub text 0 cut in
+    let kept = String.sub prefix 0 (String.rindex prefix ',') in
+    let ints =
+      List.length
+        (String.split_on_char ','
+           (String.sub kept data (String.length kept - data)))
+    in
+    match Obs.Json.of_string (kept ^ "]}") with
+    | Error e -> Alcotest.failf "cut at %d: %s" cut e
+    | Ok j ->
+        if Obs.Causal.events_of_json j <> fitting ints events then
+          Alcotest.failf "cut at byte %d (%d integers): wrong prefix" cut ints
+  done;
+  (* A malformed entry ends decoding at the event it starts. *)
+  let flat = Obs.Causal.to_json sink.Obs.Sink.causal in
+  let ints =
+    match flat with
+    | Obs.Json.Obj fs -> (
+        match List.assoc "data" fs with Obs.Json.Arr l -> l | _ -> [])
+    | _ -> []
+  in
+  List.iter
+    (fun (k, bad) ->
+      let start =
+        List.fold_left ( + ) 0
+          (List.filteri (fun i _ -> i < k) (List.map width events))
+      in
+      let data =
+        List.mapi (fun i x -> if i = start then bad else x) ints
+      in
+      let section =
+        Obs.Json.Obj
+          [
+            ("format", Obs.Json.Str "causal-flat-v1");
+            ("data", Obs.Json.Arr data);
+          ]
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "malformed event %d: prefix kept" k)
+        k
+        (List.length (Obs.Causal.events_of_json section)))
+    [ (0, Obs.Json.Str "x"); (5, Obs.Json.Int 9); (7, Obs.Json.Float 1.) ]
+
+(* --- Chrome traces --- *)
+
+let trace_of id =
+  let sink = observed_sink id in
+  reparse
+    (Obs.Export.chrome_trace ~spans:[ sink.Obs.Sink.spans ]
+       ~causal:[ sink.Obs.Sink.causal ] ~traces:[ sink.Obs.Sink.trace ] ())
+
+let test_flow_events () =
+  List.iter
+    (fun id ->
+      let events = Obs.Causal.events (observed_sink id).Obs.Sink.causal in
+      let doc = trace_of id in
+      (* (name, cat, id) -> phases seen *)
+      let flows = Hashtbl.create 1024 in
+      List.iter
+        (fun e ->
+          if member "cat" e = Some (Obs.Json.Str "causal") then begin
+            if member "args" e <> None then
+              Alcotest.failf "%s: causal event with args" id;
+            let key = (member "name" e, member "cat" e, member "id" e) in
+            let ph =
+              match member "ph" e with Some (Obs.Json.Str p) -> p | _ -> "?"
+            in
+            Hashtbl.replace flows key
+              (ph :: Option.value (Hashtbl.find_opt flows key) ~default:[])
+          end)
+        (trace_events doc);
+      let delivered =
+        List.length
+          (List.filter
+             (function Obs.Causal.Deliver _ -> true | _ -> false)
+             events)
+      in
+      let pairs =
+        Hashtbl.fold
+          (fun _ phases n ->
+            match List.sort compare phases with
+            | [ "f"; "s" ] -> n + 1
+            | [ "s" ] -> n (* lost message *)
+            | _ -> Alcotest.failf "%s: flow with phases %s" id
+                     (String.concat "," phases))
+          flows 0
+      in
+      Alcotest.(check int) (id ^ ": one s + f pair per delivery") delivered
+        pairs;
+      Alcotest.(check bool) (id ^ ": causal member decodes") true
+        (match member "causal" doc with
+        | Some c -> Obs.Causal.events_of_json c = events
+        | None -> false))
+    [ "F6"; "R4" ]
+
+(* A trace says what the results document says, save the label and the
+   deadline counters (a trace carries no metrics). *)
+let test_trace_equals_results () =
+  let strip report =
+    List.filter
+      (fun l ->
+        not (String.starts_with ~prefix:"== " l || contains ~sub:"deadlines:" l))
+      (String.split_on_char '\n' report)
+  in
+  List.iter
+    (fun id ->
+      let results =
+        analyze
+          (reparse
+             (Experiments.Registry.report_json ~quick:true
+                [ observed_outcome id ]))
+      in
+      let trace = trace_of id in
+      Alcotest.(check (list string)) (id ^ ": trace analysis") (strip results)
+        (strip (analyze trace));
+      (* A trace written before the "causal" member existed carries each
+         causal record as the args of a cat "causal" event instead. *)
+      let legacy =
+        let records =
+          List.map
+            (fun e ->
+              Obs.Json.Obj
+                [
+                  ("name", Obs.Json.Str "msg"); ("cat", Obs.Json.Str "causal");
+                  ("ph", Obs.Json.Str "i"); ("ts", Obs.Json.Float 0.);
+                  ("pid", Obs.Json.Int 0); ("tid", Obs.Json.Int 0);
+                  ("args", legacy_event_json e);
+                ])
+            (Obs.Causal.events (observed_sink id).Obs.Sink.causal)
+        in
+        match trace with
+        | Obs.Json.Obj fs ->
+            Obs.Json.Obj
+              (List.filter_map
+                 (function
+                   | "causal", _ -> None
+                   | "traceEvents", Obs.Json.Arr l ->
+                       Some ("traceEvents", Obs.Json.Arr (l @ records))
+                   | kv -> Some kv)
+                 fs)
+        | j -> j
+      in
+      Alcotest.(check string) (id ^ ": trace with causal args") (analyze trace)
+        (analyze legacy))
+    [ "F6"; "R4" ]
+
+(* Two recorders in one trace whose (run, message id) and (run, span id)
+   pairs collide: every root keeps the critical path its own recorder
+   gives it. *)
+let test_two_recorder_trace () =
+  let sinks = List.map observed_sink [ "F6"; "R4" ] in
+  let sends (s : Obs.Sink.t) =
+    List.filter_map
+      (function
+        | Obs.Causal.Send { id; run; _ } -> Some (run, id) | _ -> None)
+      (Obs.Causal.events s.Obs.Sink.causal)
+  in
+  (match sinks with
+  | [ a; b ] ->
+      let tbl = Hashtbl.create 1024 in
+      List.iter (fun k -> Hashtbl.replace tbl k ()) (sends a);
+      Alcotest.(check bool) "message keys collide" true
+        (List.exists (Hashtbl.mem tbl) (sends b))
+  | _ -> assert false);
+  let doc =
+    reparse
+      (Obs.Export.chrome_trace
+         ~spans:(List.map (fun (s : Obs.Sink.t) -> s.Obs.Sink.spans) sinks)
+         ~causal:(List.map (fun (s : Obs.Sink.t) -> s.Obs.Sink.causal) sinks)
+         ())
+  in
+  let d =
+    match Obs.Report.datasets_of_doc doc with
+    | [ d ] -> d
+    | ds -> Alcotest.failf "expected one dataset, got %d" (List.length ds)
+  in
+  let traced =
+    Obs.Critpath.build_index ~spans:d.Obs.Report.spans
+      ~causal:d.Obs.Report.causal
+  in
+  let seg_list (p : Obs.Critpath.path) =
+    List.map
+      (fun (s : Obs.Critpath.seg) ->
+        (s.Obs.Critpath.label, s.Obs.Critpath.seg_start, s.Obs.Critpath.seg_stop))
+      p.Obs.Critpath.segs
+  in
+  (* Each recorder's runs start after the last run the previous recorder's
+     spans or messages mention. *)
+  let offset = ref 0 and checked = ref 0 in
+  List.iter
+    (fun (s : Obs.Sink.t) ->
+      let spans = Obs.Critpath.ispans_of_recorder s.Obs.Sink.spans in
+      let own =
+        Obs.Critpath.build_index ~spans
+          ~causal:(Obs.Causal.events s.Obs.Sink.causal)
+      in
+      List.iter
+        (fun kind ->
+          let by_key = Hashtbl.create 256 in
+          List.iter
+            (fun (r : Obs.Critpath.ispan) ->
+              Hashtbl.replace by_key (r.Obs.Critpath.run, r.Obs.Critpath.sid) r)
+            (Obs.Critpath.roots traced ~kind);
+          List.iter
+            (fun (root : Obs.Critpath.ispan) ->
+              incr checked;
+              let want = Obs.Critpath.critical_path own ~root in
+              match
+                Hashtbl.find_opt by_key
+                  (root.Obs.Critpath.run + !offset, root.Obs.Critpath.sid)
+              with
+              | None -> Alcotest.failf "root %d missing" root.Obs.Critpath.sid
+              | Some troot ->
+                  let got = Obs.Critpath.critical_path traced ~root:troot in
+                  if
+                    got.Obs.Critpath.total_ns <> want.Obs.Critpath.total_ns
+                    || seg_list got <> seg_list want
+                  then
+                    Alcotest.failf "%s span %d (run %d): path differs" kind
+                      root.Obs.Critpath.sid root.Obs.Critpath.run)
+            (Obs.Critpath.roots own ~kind))
+        [ "migration"; "thread_group_create" ];
+      let last =
+        List.fold_left
+          (fun m (e : Obs.Causal.event) ->
+            match e with
+            | Obs.Causal.Send { run; _ }
+            | Obs.Causal.Deliver { run; _ }
+            | Obs.Causal.Link { run; _ } ->
+                max m run)
+          (List.fold_left
+             (fun m (sp : Obs.Critpath.ispan) -> max m sp.Obs.Critpath.run)
+             (-1) spans)
+          (Obs.Causal.events s.Obs.Sink.causal)
+      in
+      offset := !offset + last + 1)
+    sinks;
+  Alcotest.(check bool) "roots checked" true (!checked > 0)
 
 let () =
   Alcotest.run "causal"
@@ -677,5 +1072,21 @@ let () =
           Alcotest.test_case "trace retained O(1)" `Quick test_trace_retained_o1;
           Alcotest.test_case "export clamps unclosed spans" `Quick
             test_export_clamps_unclosed;
+        ] );
+      ( "causal-flat",
+        [
+          Alcotest.test_case "legacy and flat analyze identically (F6, R4)"
+            `Quick test_flat_equals_legacy;
+          Alcotest.test_case "truncated section decodes whole events" `Quick
+            test_flat_truncation;
+        ] );
+      ( "chrome-trace",
+        [
+          Alcotest.test_case "flow events: s + f per delivery, no args" `Quick
+            test_flow_events;
+          Alcotest.test_case "analysis equals results (F6, R4)" `Quick
+            test_trace_equals_results;
+          Alcotest.test_case "two recorders with colliding ids" `Quick
+            test_two_recorder_trace;
         ] );
     ]
