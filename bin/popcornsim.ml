@@ -4,8 +4,7 @@
      list               show the reproduction experiments
      run <id> [--quick] run one experiment (ids from `popcornsim list`)
      all [--quick]      run every experiment
-     demo [...]         boot a cluster and run a demonstration workload
-     metrics demo [...] demo workload with the observability layer attached
+     demo [...]         boot a cluster and run an instrumented demo workload
      profile <id> [...] run one experiment under the host-time profiler
      analyze <file>     causal / critical-path report over exported results
      diff <old> <new>   compare two results files metric-by-metric
@@ -216,73 +215,6 @@ let demo_cmd =
     let doc = "Worker threads to span across the kernels." in
     Arg.(value & opt int 8 & info [ "threads" ] ~doc)
   in
-  let trace_flag =
-    let doc = "Dump the protocol-event timeline after the run." in
-    Arg.(value & flag & info [ "trace" ] ~doc)
-  in
-  let run kernels threads trace =
-    if kernels < 1 || 16 mod kernels <> 0 then
-      `Error (false, "kernels must divide 16")
-    else begin
-      let machine = Hw.Machine.create ~sockets:2 ~cores_per_socket:8 () in
-      let cluster =
-        Popcorn.Cluster.boot machine ~kernels ~cores_per_kernel:(16 / kernels)
-      in
-      let tracer =
-        if trace then Some (Popcorn.Cluster.enable_tracing cluster) else None
-      in
-      let eng = machine.Hw.Machine.eng in
-      Sim.Engine.spawn eng (fun () ->
-          let proc =
-            Popcorn.Api.start_process cluster ~origin:0 (fun th ->
-                let latch = Workloads.Latch.create eng threads in
-                for i = 0 to threads - 1 do
-                  ignore
-                    (Popcorn.Api.spawn th ~target:(i mod kernels)
-                       (fun worker ->
-                         Popcorn.Api.compute worker (Sim.Time.us 200);
-                         ignore
-                           (Popcorn.Api.migrate worker
-                              ~dst:((i + 1) mod kernels));
-                         Popcorn.Api.compute worker (Sim.Time.us 200);
-                         Workloads.Latch.arrive latch))
-                done;
-                Workloads.Latch.wait latch)
-          in
-          Popcorn.Api.wait_exit cluster proc);
-      Sim.Engine.run eng;
-      (match tracer with
-      | Some tr ->
-          print_endline "protocol timeline:";
-          Format.printf "%a@?" Sim.Trace.pp tr
-      | None -> ());
-      let st = Msg.Transport.stats cluster.Popcorn.Types.fabric in
-      Printf.printf
-        "demo: %d threads over %d kernels; simulated time %s; %d messages \
-         (%d doorbells); %d events\n"
-        threads kernels
-        (Sim.Time.to_string (Sim.Engine.now eng))
-        st.Msg.Transport.sent st.Msg.Transport.doorbells
-        (Sim.Engine.events_processed eng);
-      `Ok ()
-    end
-  in
-  Cmd.v
-    (Cmd.info "demo"
-       ~doc:"Boot a cluster, span threads across kernels, migrate them.")
-    Term.(ret (const run $ kernels $ threads $ trace_flag))
-
-(* --- metrics (observability demo) --- *)
-
-let metrics_demo_cmd =
-  let kernels =
-    let doc = "Number of kernels to boot." in
-    Arg.(value & opt int 4 & info [ "kernels" ] ~doc)
-  in
-  let threads =
-    let doc = "Worker threads to span across the kernels." in
-    Arg.(value & opt int 8 & info [ "threads" ] ~doc)
-  in
   let run kernels threads json trace =
     if kernels < 1 || 16 mod kernels <> 0 then
       `Error (false, "kernels must divide 16")
@@ -292,9 +224,8 @@ let metrics_demo_cmd =
         Popcorn.Cluster.boot machine ~kernels ~cores_per_kernel:(16 / kernels)
       in
       let sink = Obs.Sink.create () in
-      Hw.Machine.attach_obs machine ~metrics:sink.Obs.Sink.metrics
-        ~spans:sink.Obs.Sink.spans ~causal:sink.Obs.Sink.causal ();
       Popcorn.Cluster.observe ~metrics:sink.Obs.Sink.metrics
+        ~spans:sink.Obs.Sink.spans ~causal:sink.Obs.Sink.causal
         ~tracer:sink.Obs.Sink.trace cluster;
       let eng = machine.Hw.Machine.eng in
       Sim.Engine.spawn eng (fun () ->
@@ -327,10 +258,14 @@ let metrics_demo_cmd =
           in
           Popcorn.Api.wait_exit cluster proc);
       Sim.Engine.run eng;
+      let st = Msg.Transport.stats cluster.Popcorn.Types.fabric in
       Printf.printf
-        "metrics demo: %d threads over %d kernels; simulated time %s\n\n"
+        "demo: %d threads over %d kernels; simulated time %s; %d messages \
+         (%d doorbells); %d events\n\n"
         threads kernels
-        (Sim.Time.to_string (Sim.Engine.now eng));
+        (Sim.Time.to_string (Sim.Engine.now eng))
+        st.Msg.Transport.sent st.Msg.Transport.doorbells
+        (Sim.Engine.events_processed eng);
       Format.printf "%a@?" Obs.Metrics.pp sink.Obs.Sink.metrics;
       (match json with
       | None -> ()
@@ -348,15 +283,11 @@ let metrics_demo_cmd =
   Cmd.v
     (Cmd.info "demo"
        ~doc:
-         "Demo workload with the observability layer attached; prints the \
-          per-kernel metrics and optionally exports them.")
+         "Boot a cluster, span threads across kernels, write shared pages, \
+          migrate them; prints the per-kernel metrics and optionally \
+          exports them (--json) and the Chrome trace of the run \
+          (--trace-out).")
     Term.(ret (const run $ kernels $ threads $ json_out $ trace_out))
-
-let metrics_cmd =
-  Cmd.group
-    (Cmd.info "metrics"
-       ~doc:"Observability: run instrumented workloads and export metrics.")
-    [ metrics_demo_cmd ]
 
 (* --- profile --- *)
 
@@ -554,5 +485,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ list_cmd; run_cmd; all_cmd; demo_cmd; metrics_cmd; profile_cmd;
+          [ list_cmd; run_cmd; all_cmd; demo_cmd; profile_cmd;
             analyze_cmd; diff_cmd ]))

@@ -1,7 +1,7 @@
-(** Message vocabulary of the coherence protocols. The cluster's payload
-    type embeds [t] as a single constructor; requests are routed to the
-    active protocol's [handle], responses complete the matching RPC ticket
-    on the receiving kernel (see [resp_ticket]).
+(** Message vocabulary of the page-coherence protocol. The cluster's
+    payload type embeds [t] as a single constructor; requests are routed to
+    [Page_coherence.handle], responses complete the matching RPC ticket on
+    the receiving kernel (see [resp_ticket]).
 
     Sizes are body bytes; the transport header is added by the embedding
     payload's size function. They match the sizes the pre-extraction

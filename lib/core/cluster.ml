@@ -166,13 +166,6 @@ let boot ?(opts = default_options) (machine : Hw.Machine.t) ~kernels
   cluster_ref := Some cluster;
   cluster
 
-(** Start collecting protocol events ([Types.trace] becomes live); returns
-    the trace for inspection or [Sim.Trace.pp]. *)
-let enable_tracing ?capacity cluster =
-  let tr = Sim.Trace.create ?capacity () in
-  cluster.tracer <- Some tr;
-  tr
-
 (** Attach an observability sink to the whole cluster: the metrics registry
     and span recorder go to the machine (the messaging layer and the OS
     models consult them), the trace ring becomes the protocol tracer, and

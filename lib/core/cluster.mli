@@ -22,10 +22,6 @@ val boot :
     [cores_per_kernel] cores, each with its own scheduler, id-space slice,
     mm lock, futex table and message endpoint. *)
 
-val enable_tracing : ?capacity:int -> cluster -> Sim.Trace.t
-(** Start collecting protocol events (migrations, faults, mm ops...);
-    returns the trace for inspection or [Sim.Trace.pp]. *)
-
 val observe :
   ?metrics:Obs.Metrics.t ->
   ?spans:Obs.Span.t ->

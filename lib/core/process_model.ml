@@ -31,6 +31,10 @@ let create_master cluster ~(origin : kernel) : process =
 
 let create_replica (kernel : kernel) (proc : process)
     ~(vma_proto : K.Vma.vma list) : replica =
+  if Hashtbl.mem kernel.replicas proc.pid then
+    invalid_arg
+      (Printf.sprintf "create_replica: kernel %d already has a replica of pid %d"
+         kernel.kid proc.pid);
   let vmas = K.Vma.create () in
   List.iter
     (fun (v : K.Vma.vma) ->
@@ -52,7 +56,7 @@ let create_replica (kernel : kernel) (proc : process)
       distributed = false;
     }
   in
-  Hashtbl.replace kernel.replicas proc.pid r;
+  Hashtbl.add kernel.replicas proc.pid r;
   r
 
 (** Mark a process as spanning kernels; flips the fast-path flag on every

@@ -6,15 +6,15 @@ open Types
 val task_construct_cost : Sim.Time.t
 (** Full task-struct + kernel-stack construction (clone slow path). *)
 
-val dummy_adopt_cost : Sim.Time.t
-(** Re-animating a pre-spawned dummy thread (the paper's fast path). *)
-
 val create_master : cluster -> origin:kernel -> process
 (** Allocate a pid from the origin's slice and register the master record. *)
 
 val create_replica :
   kernel -> process -> vma_proto:Kernelmodel.Vma.vma list -> replica
-(** Materialise this kernel's replica from a layout snapshot. *)
+(** Materialise this kernel's replica from a layout snapshot.
+    @raise Invalid_argument if [kernel] already has a replica of the
+    process: replacing it would drop page-table entries the directory
+    still names. *)
 
 val mark_distributed : process -> cluster -> unit
 (** Flip the fast-path flag on every known replica of a spanning group. *)

@@ -51,7 +51,10 @@ let create_local cluster (kernel : kernel) (r : replica) : K.Task.t =
 (** Ensure [kernel] has a replica of [proc], fetching the layout from the
     origin if needed. Runs on [kernel]. The replica must be created in the
     same event as the fetch response lands (no sleeps in between) so that
-    no replicated layout push can slip past it. *)
+    no replicated layout push can slip past it. A spawn snapshot may
+    install a replica while the fetch is in flight, and threads may
+    already run and fault on it; that replica is kept and the fetched
+    layout is dropped. *)
 let ensure_replica cluster (kernel : kernel) (proc : process) : replica =
   match find_replica kernel proc.pid with
   | Some r -> r
@@ -63,8 +66,9 @@ let ensure_replica cluster (kernel : kernel) (proc : process) : replica =
           Proto_util.call cluster ~src:kernel ~dst:proc.origin
             (fun ~ticket -> Vma_fetch_req { ticket; pid = proc.pid })
         in
-        match resp with
-        | Vma_fetch_resp { vmas; _ } ->
+        match (resp, find_replica kernel proc.pid) with
+        | Vma_fetch_resp _, Some r -> r
+        | Vma_fetch_resp { vmas; _ }, None ->
             let r = Process_model.create_replica kernel proc ~vma_proto:vmas in
             r.distributed <- true;
             Process_model.prime_dummy_pool cluster r;

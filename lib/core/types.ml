@@ -228,7 +228,7 @@ type cluster = {
           what R3 reads to compare directory load per protocol. *)
   vfs : vfs_state;  (** served by kernel 0 (the device owner). *)
   mutable tracer : Trace.t option;
-      (** protocol-event trace, when enabled ([Cluster.enable_tracing]). *)
+      (** protocol-event trace, when attached ([Cluster.observe]). *)
 }
 
 and options = {

@@ -80,17 +80,6 @@ let acquire t ~core =
       t.st_wait <- Time.add t.st_wait (Time.sub (Engine.now t.eng) t0);
       note_acquired t core
 
-let try_acquire t ~core =
-  match t.holder with
-  | Some _ -> false
-  | None ->
-      Engine.sleep t.eng (transfer_cost t ~from:t.last_holder ~core);
-      if t.holder = None then begin
-        note_acquired t core;
-        true
-      end
-      else false
-
 let release t =
   match t.holder with
   | None -> invalid_arg ("Spinlock.release (" ^ t.name ^ "): not held")
@@ -113,7 +102,6 @@ let release t =
           t.holder <- Some w.core;
           Engine.schedule t.eng ~after:cost w.resume)
 
-let holder t = t.holder
 let waiters t = Queue.length t.waiters
 
 let stats t =

@@ -142,9 +142,6 @@ let endpoint t node =
   | Some ep -> ep
   | None -> invalid_arg (Printf.sprintf "Transport: unknown node %d" node)
 
-let nodes t =
-  Hashtbl.fold (fun n _ acc -> n :: acc) t.endpoints [] |> List.sort compare
-
 let home_core t node = (endpoint t node).core
 
 let set_hooks t hooks = t.hooks <- hooks

@@ -87,7 +87,6 @@ val add_node : 'a t -> node -> home_core:Hw.Topology.core -> unit
     socket distances for cost modelling. *)
 
 val machine : 'a t -> Hw.Machine.t
-val nodes : 'a t -> node list
 val home_core : 'a t -> node -> Hw.Topology.core
 
 val send :

@@ -61,13 +61,11 @@ val counters_of_json : Json.t -> counters
 
 type t = { kinds : kind_summary list; counters : counters }
 
-val kinds_analyzed : string list
-(** Root kinds summarized, in report order (migration first). *)
-
 val worst_paths : Critpath.index -> (kind_summary * Critpath.path) list
-(** For each of {!kinds_analyzed} with at least one root, in that order:
-    its summary and the critical path of its slowest root — the first
-    root, in creation order, of maximal {!Critpath.duration}. Root
+(** For each root kind with at least one root, migration then
+    thread_group_create: its summary and the critical path of its slowest
+    root — the first root, in creation order, of maximal
+    {!Critpath.duration}. Root
     latencies come from the index alone, so this computes one critical
     path per kind. *)
 

@@ -61,14 +61,6 @@ let send t v =
     buffer t v
   end
 
-let try_send t v =
-  if Waitq.wake_one t.receivers v then true
-  else if occupancy t < t.capacity then begin
-    buffer t v;
-    true
-  end
-  else false
-
 let recv t =
   match unbuffer t with
   | Some v ->
@@ -113,13 +105,6 @@ let recv_timeout t ~timeout =
       match Waitq.wait_timeout t.eng t.receivers ~timeout with
       | Waitq.Signalled v -> Some v
       | Waitq.Timed_out -> None)
-
-let try_recv t =
-  match unbuffer t with
-  | Some v ->
-      ignore (Waitq.wake_one t.senders ());
-      Some v
-  | None -> None
 
 let length t = occupancy t
 let is_empty t = occupancy t = 0

@@ -15,9 +15,6 @@ val unbounded : Engine.t -> 'a t
 val send : 'a t -> 'a -> unit
 (** Enqueue; parks the fiber while the channel is full. *)
 
-val try_send : 'a t -> 'a -> bool
-(** Enqueue if there is room; never blocks. *)
-
 val recv : 'a t -> 'a
 (** Dequeue; parks the fiber while the channel is empty. *)
 
@@ -37,8 +34,6 @@ val release_slot : 'a t -> unit
 
 val recv_timeout : 'a t -> timeout:Time.t -> 'a option
 (** [None] on timeout. *)
-
-val try_recv : 'a t -> 'a option
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool

@@ -51,9 +51,6 @@ val label : t -> ?tag:string -> string -> label
 val label_name : t -> label -> string
 val label_tag : t -> label -> string option
 
-val label_count : t -> int
-(** Number of distinct labels interned so far. Ids are [0..count-1]. *)
-
 (** {1 Scheduler introspection}
 
     All counters below are maintained unconditionally — plain integer
@@ -114,9 +111,6 @@ val spawn_label : t -> label -> (unit -> unit) -> unit
 (** {!spawn} with a pre-interned label: the hot-path form for sites that
     start the same kind of fiber per message/request and must not rebuild
     the name string or re-hash it each time. *)
-
-val schedule_label : t -> label -> after:Time.t -> (unit -> unit) -> unit
-(** {!schedule} with a pre-interned label. *)
 
 val run : ?until:Time.t -> t -> unit
 (** Execute events until the queue is empty, or until the clock would pass

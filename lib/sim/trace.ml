@@ -42,10 +42,3 @@ let clear t =
   t.next <- 0;
   t.total <- 0;
   t.retained <- 0
-
-let pp fmt t =
-  List.iter
-    (fun e ->
-      Format.fprintf fmt "[%10s] %-12s %s@\n" (Time.to_string e.at) e.cat
-        e.msg)
-    (events t)

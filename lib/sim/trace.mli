@@ -4,8 +4,8 @@
     cheaply (messages are built only when tracing is enabled by
     construction — the caller holds a [t option]), and consumers dump or
     filter after the run. Used by the OS models to record protocol events
-    (migrations, faults, grants) for debugging and the CLI's timeline
-    view. *)
+    (migrations, faults, grants), which the Chrome trace export draws as
+    instant events. *)
 
 type t
 
@@ -28,6 +28,3 @@ val total : t -> int
 (** Events ever emitted (including ones the ring has dropped). *)
 
 val clear : t -> unit
-
-val pp : Format.formatter -> t -> unit
-(** One line per retained event: "[time] cat: msg". *)

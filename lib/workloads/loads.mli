@@ -5,12 +5,6 @@
     on Popcorn, while SMP ignores placement. *)
 
 module Make (Os : Os_intf.S) : sig
-  val run_workers :
-    Sim.Engine.t -> Os.thread -> workers:int -> (int -> Os.thread -> unit) ->
-    unit
-  (** Spawn [workers] group members (worker [i] on place [i mod places])
-      and join them. *)
-
   val spawn_storm :
     Sim.Engine.t -> Os.thread -> spawners:int -> per_spawner:int -> unit
   (** F2: concurrent thread-creation storm. *)
@@ -18,9 +12,6 @@ module Make (Os : Os_intf.S) : sig
   val mmap_stress :
     Sim.Engine.t -> Os.thread -> workers:int -> ops:int -> pages:int -> unit
   (** F3: concurrent map-touch-unmap churn. *)
-
-  val page_walk : Os.thread -> base:int -> pages:int -> write:bool -> unit
-  (** F4 helper: touch consecutive pages. *)
 
   val futex_pingpong :
     Sim.Engine.t -> Os.thread -> pairs:int -> rounds:int -> unit

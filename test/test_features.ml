@@ -418,7 +418,8 @@ let test_vfs_remote_costs_more () =
 
 let test_cluster_tracing () =
   let machine, cluster = mk () in
-  let tr = Cluster.enable_tracing cluster in
+  let tr = Sim.Trace.create () in
+  Cluster.observe ~tracer:tr cluster;
   Sim.Engine.spawn machine.Hw.Machine.eng (fun () ->
       let proc =
         Api.start_process cluster ~origin:0 (fun th ->
