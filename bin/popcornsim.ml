@@ -213,7 +213,14 @@ let demo_cmd =
   in
   let threads =
     let doc = "Worker threads to span across the kernels." in
-    Arg.(value & opt int 8 & info [ "threads" ] ~doc)
+    Arg.(value & opt positive_int 8 & info [ "threads" ] ~doc)
+  in
+  let json_out =
+    let doc =
+      "Write the run's metrics document (counters, gauges and histograms \
+       per kernel; no tables) to $(docv)."
+    in
+    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
   in
   let run kernels threads json trace =
     if kernels < 1 || 16 mod kernels <> 0 then

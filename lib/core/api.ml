@@ -61,17 +61,12 @@ let migrate ?deadline th ~dst =
   Migration.migrate ?deadline th.cluster kernel ~core:(current_core th)
     th.task ~dst
 
-(** Burn CPU on the thread's current core for the given duration. The end
-    of a compute slice is a cooperative migration point: balancer hints
-    are honoured here. *)
+(** Burn CPU on the thread's current core for the given duration. A
+    thread killed while computing raises [Killed] when the slice ends. *)
 let compute th dt =
   check_alive th;
-  let kernel = current_kernel th in
-  K.Sched.compute_on kernel.sched (current_core th) dt;
-  check_alive th;
-  match Balancer.take_hint kernel ~tid:th.task.K.Task.tid with
-  | Some dst when dst <> kernel.kid -> ignore (migrate th ~dst)
-  | Some _ | None -> ()
+  K.Sched.compute_on (current_kernel th).sched (current_core th) dt;
+  check_alive th
 
 (** Clone a new thread of this group onto [target] (default: this kernel)
     running [body]. Returns the new thread's tid without waiting for the

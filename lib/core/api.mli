@@ -41,8 +41,8 @@ val replica : thread -> replica
 (** {1 Execution} *)
 
 val compute : thread -> Sim.Time.t -> unit
-(** Burn CPU on the thread's core (timeshared). The end of a slice is a
-    cooperative migration point: balancer hints are honoured here. *)
+(** Burn CPU on the thread's core (timeshared). Threads move between
+    kernels only when they call {!migrate}. *)
 
 val spawn :
   thread -> ?target:int -> (thread -> unit) -> Kernelmodel.Ids.tid

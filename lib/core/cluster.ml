@@ -73,11 +73,9 @@ let dispatch cluster ~dst ~src ~(delivery : Msg.Transport.delivery) payload =
   (* VFS / remote syscalls *)
   | Vfs_req { ticket; pid; op } ->
       Vfs.handle_req cluster kernel ~src ~ticket ~pid ~op
-  (* single-system image / balancing *)
+  (* single-system image / request placement *)
   | Task_list_req { ticket } ->
       Ssi.handle_task_list cluster kernel ~src ~cause ~ticket
-  | Load_query { ticket } ->
-      Balancer.handle_load_query cluster kernel ~src ~ticket
   | Work_req { ticket; cost_ns } ->
       Placement.handle_work_req cluster kernel ~src ~ticket ~cost_ns
   (* responses: complete the matching ticket on the receiving kernel *)
@@ -94,7 +92,6 @@ let dispatch cluster ~dst ~src ~(delivery : Msg.Transport.delivery) payload =
   | Vma_lookup_resp { ticket; _ }
   | Futex_wake_resp { ticket; _ }
   | Task_list_resp { ticket; _ }
-  | Load_info { ticket; _ }
   | Work_resp { ticket }
   | Vfs_resp { ticket; _ } ->
       Msg.Rpc.complete kernel.rpc ~ticket payload
@@ -141,7 +138,6 @@ let boot ?(opts = default_options) (machine : Hw.Machine.t) ~kernels
           ~name:(Printf.sprintf "mm_lock.k%d" kid);
       rpc = Msg.Rpc.create eng;
       tasks = Hashtbl.create 64;
-      migrate_hints = Hashtbl.create 16;
     }
   in
   let cluster =

@@ -55,16 +55,11 @@ type t = {
   mutable stopped : bool;
 }
 
-let create ?seed ?(config = default_config) eng ~kernels =
-  let seed =
-    match seed with
-    | Some s -> s
-    | None -> Engine.seed eng lxor 0x48454C54 (* "HELT" *)
-  in
+let create ?(config = default_config) eng ~kernels =
   {
     eng;
     cfg = config;
-    rng = Prng.create ~seed;
+    rng = Prng.create ~seed:(Engine.seed eng lxor 0x48454C54 (* "HELT" *));
     entries =
       Array.init kernels (fun _ ->
           {

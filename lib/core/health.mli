@@ -54,9 +54,10 @@ type transition = {
 
 type t
 
-val create : ?seed:int -> ?config:config -> Sim.Engine.t -> kernels:int -> t
-(** All kernels start [Healthy]. [seed] defaults to a salt of the engine's
-    seed, so one simulation seed reproduces the whole probe schedule. *)
+val create : ?config:config -> Sim.Engine.t -> kernels:int -> t
+(** All kernels start [Healthy]. The probe stream is seeded with a salt of
+    the engine's seed, so one simulation seed reproduces the whole probe
+    schedule. *)
 
 val config : t -> config
 val state : t -> int -> state

@@ -21,35 +21,23 @@ let choose candidates =
 
 (* --- dispatcher --- *)
 
-type retry = {
-  max_attempts : int;
-  base_deadline : Time.t;
-  backoff_factor : int;
-  max_deadline : Time.t;
-}
-
-let default_retry =
-  {
-    max_attempts = 3;
-    base_deadline = Time.us 60;
-    backoff_factor = 2;
-    max_deadline = Time.us 400;
-  }
+(* Bounded retry-on-other-kernel: at most [max_attempts] distinct kernels
+   per request, each under the capped exponential slack of [deadline]. *)
+let max_attempts = 3
+let base_deadline = Time.us 60
+let backoff_factor = 2
+let max_deadline = Time.us 400
 
 type t = {
   cluster : cluster;
   health : Health.t option;
-  retry : retry;
   high_water : int;
   frontend : int;
   per_kernel : int array;  (** dispatcher's view of in-flight per kernel. *)
   mutable total : int;
 }
 
-let create ?health ?retry ?high_water ~frontend cluster =
-  let retry = Option.value retry ~default:default_retry in
-  if retry.max_attempts < 1 then
-    invalid_arg "Placement.create: max_attempts must be >= 1";
+let create ?health ?high_water ~frontend cluster =
   let high_water =
     match high_water with
     | Some h -> h
@@ -59,7 +47,6 @@ let create ?health ?retry ?high_water ~frontend cluster =
   {
     cluster;
     health;
-    retry;
     high_water;
     frontend;
     per_kernel = Array.make (nkernels cluster) 0;
@@ -116,12 +103,12 @@ type outcome =
   | Failed of { attempts : int }
 
 (* Attempt [n] (1-based) waits the service cost plus a backed-off slack. *)
-let deadline t ~attempt ~cost_ns =
-  let slack = ref t.retry.base_deadline in
+let deadline ~attempt ~cost_ns =
+  let slack = ref base_deadline in
   for _ = 2 to attempt do
-    slack := !slack * t.retry.backoff_factor
+    slack := !slack * backoff_factor
   done;
-  cost_ns + min !slack t.retry.max_deadline
+  cost_ns + min !slack max_deadline
 
 let note_outcome t ~kernel ok =
   match t.health with
@@ -152,7 +139,7 @@ let dispatch ?deadline:slo_deadline t ~cost_ns =
   end
   else
     let rec attempt n tried =
-      if n > t.retry.max_attempts then begin
+      if n > max_attempts then begin
         m_incr cluster ~kernel:t.frontend "placement.failed";
         Failed { attempts = n - 1 }
       end
@@ -167,7 +154,7 @@ let dispatch ?deadline:slo_deadline t ~cost_ns =
             t.total <- t.total + 1;
             let resp =
               Msg.Rpc.call_timeout fk.rpc
-                ~timeout:(deadline t ~attempt:n ~cost_ns)
+                ~timeout:(deadline ~attempt:n ~cost_ns)
                 (fun ticket ->
                   send_from cluster ~src:t.frontend ~src_core:fk.home_core
                     ~dst

@@ -1,14 +1,14 @@
-(** Cluster-wide placement: a weighted-least-loaded rule deciding which
-    kernel should host work, plus a dispatcher with admission control and
-    bounded retry-on-other-kernel.
+(** Cluster-wide request placement: a weighted-least-loaded rule deciding
+    which kernel should serve a request, plus a dispatcher with admission
+    control and bounded retry-on-other-kernel.
 
-    The rule is pure: it scores a candidate list and picks a kernel, so
-    the balancer (thread re-placement hints) and the request dispatcher
-    (initial placement of incoming work) share it. The dispatcher is the
-    nginx-upstream shape transplanted to kernels: passive health checks
-    ({!Health}) mark kernels down, a failed placement retries on the next
-    candidate under a capped exponential per-attempt deadline (the
-    [Rpc.call_retry] shape), and once cluster-wide in-flight load crosses
+    The rule is pure: it scores a candidate list and picks a kernel. The
+    dispatcher is the nginx-upstream shape transplanted to kernels:
+    passive health checks ({!Health}) mark kernels down, a failed
+    placement retries on the next candidate under a capped exponential
+    per-attempt deadline (the [Rpc.call_retry] shape: 3 attempts, 60us
+    base deadline, doubling, capped at 400us, each on top of the
+    request's service cost), and once cluster-wide in-flight load crosses
     a high-water mark new work is shed with an explicit {!Rejected}
     outcome instead of queueing to collapse. *)
 
@@ -28,26 +28,10 @@ val choose : candidate list -> int option
 
 (** {1 Dispatcher} *)
 
-(** Bounded retry-on-other-kernel: attempt [n] (1-based) waits
-    [base_deadline * backoff_factor^(n-1)] (capped at [max_deadline]) on
-    top of the request's service cost before declaring a miss and moving
-    to the next candidate — capped exponential backoff in the
-    [Rpc.retry_policy] shape. *)
-type retry = {
-  max_attempts : int;  (** distinct kernels tried per request (>= 1). *)
-  base_deadline : Sim.Time.t;
-  backoff_factor : int;
-  max_deadline : Sim.Time.t;
-}
-
-val default_retry : retry
-(** 3 attempts, 60us base deadline, doubling, capped at 400us. *)
-
 type t
 
 val create :
   ?health:Health.t ->
-  ?retry:retry ->
   ?high_water:int ->
   frontend:int ->
   cluster ->

@@ -57,9 +57,6 @@ let global_tasks cluster (kernel : kernel) : (K.Ids.tid * pid) list =
   sp_end cluster sp;
   r
 
-(** Which kernel hosts [tid] right now; [None] if it exited. *)
-let locate_thread cluster ~tid = Ssi_locate.locate cluster ~tid
-
 (** Block until every thread of the group has exited (waitpid-ish). *)
 let wait_group_exit cluster (proc : process) =
   if proc.live_threads > 0 then

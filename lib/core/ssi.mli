@@ -1,15 +1,12 @@
 (** Single-system-image services: globally unique ids (by partitioned
-    allocation), a global /proc-style task listing, location-transparent
-    thread lookup, and group exit waiting. *)
+    allocation), a global /proc-style task listing, and group exit
+    waiting. *)
 
 open Types
 
 val global_tasks : cluster -> kernel -> (Kernelmodel.Ids.tid * pid) list
 (** ps-style listing as a reader on [kernel] sees it: parallel query of
     every other kernel, merged and sorted. *)
-
-val locate_thread : cluster -> tid:tid -> int option
-(** Which kernel hosts [tid] right now; [None] if it exited. *)
 
 val wait_group_exit : cluster -> process -> unit
 (** Park until every thread of the group has exited (waitpid-ish). *)

@@ -1,8 +1,8 @@
 (** Thread location: which kernel hosts a tid right now.
 
     Simulation-level read of the per-kernel task tables; the real system
-    does a local pid-hash walk plus origin forwarding. Shared by the kill
-    path and the SSI services. *)
+    does a local pid-hash walk plus origin forwarding. Used by the kill
+    path. *)
 
 open Types
 

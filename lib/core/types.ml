@@ -155,12 +155,9 @@ type payload =
           (** fd for open, byte count for read/write, 0 for close. *)
       data_bytes : int;  (** read payload travelling with the response. *)
     }
-  (* --- single-system image / balancing --- *)
+  (* --- single-system image / request placement --- *)
   | Task_list_req of { ticket : int }
   | Task_list_resp of { ticket : int; tids : (tid * pid) list }
-  | Load_query of { ticket : int }
-      (** balancer heartbeat: how many threads are assigned to your cores? *)
-  | Load_info of { ticket : int; load : int }
   | Work_req of { ticket : int; cost_ns : int }
       (** dispatcher -> worker kernel: serve one request costing [cost_ns]
           of CPU on one of your cores (see {!Placement}). *)
@@ -192,10 +189,6 @@ type vfs_state = {
   mutable vfs_ops : int;
 }
 
-(** Balancer advice for one thread: migrate to [hint_dst]. Stamped with its
-    creation time so unconsumed hints can be expired ({!Balancer}). *)
-type migrate_hint = { hint_dst : int; hint_at : Time.t }
-
 (** One kernel of the replicated-kernel OS. *)
 type kernel = {
   kid : int;
@@ -210,10 +203,6 @@ type kernel = {
   mm_lock : Hw.Spinlock.t;  (** per-kernel mm lock (locally contended). *)
   rpc : payload Msg.Rpc.t;  (** response matching for this kernel's calls. *)
   tasks : (tid, Kernelmodel.Task.t) Hashtbl.t;  (** tasks hosted here. *)
-  migrate_hints : (tid, migrate_hint) Hashtbl.t;
-      (** balancer advice: tid -> suggested destination kernel; consumed
-          by the thread at its next cooperative migration point, or expired
-          by the balancer if the thread never reaches one. *)
 }
 
 type cluster = {
@@ -245,9 +234,9 @@ and options = {
           thread's recently-touched pages at the destination (0 = purely
           on-demand, the paper's default). *)
   use_dummy_pool : bool;
-      (** pre-spawn dummy threads at remote kernels (paper's optimisation);
-          when false every import pays full task-construction cost. *)
-  dummy_pool_size : int;
+      (** pre-spawn dummy threads at remote kernels (paper's optimisation,
+          [Process_model.dummy_pool_size] per replica); when false every
+          import pays full task-construction cost. *)
   read_replication : bool;
       (** allow read-only page replicas; when false every remote fault
           migrates the page exclusively (ablation). *)
@@ -269,7 +258,6 @@ let default_options =
     arch_of_kernel = (fun _ -> X86_64);
     migration_prefetch = 0;
     use_dummy_pool = true;
-    dummy_pool_size = 8;
     read_replication = true;
     coherence = Coherence.Protocol.Origin_home;
     migration_retry = None;
@@ -331,8 +319,6 @@ module Wire = struct
         header + 24
     | Task_list_req _ -> header
     | Task_list_resp { tids; _ } -> header + (List.length tids * 8)
-    | Load_query _ -> header
-    | Load_info _ -> header + 8
     | Work_req _ -> header + 16
     | Work_resp _ -> header + 8
     | Vfs_req { op; _ } -> (

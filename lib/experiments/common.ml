@@ -29,7 +29,12 @@ let machine (ctx : Run_ctx.t) ?seed () =
   | None -> ()
   | Some p -> Obs.Prof.attach p m.Hw.Machine.eng);
   (* Recorded so the run's total event count (events/sec) can be summed
-     after the body finishes; engines are small once their queues drain. *)
+     after the body finishes, which keeps every engine alive until the
+     experiment ends. A drained engine holds its counters, an empty queue
+     and its label table: one entry per distinct fiber name and tag, so
+     per-request fibers share a name ([Workloads.Server]). The largest in
+     the full-size suite (F2, one "thread-N" label per spawned thread) is
+     about 0.35 MB. *)
   ctx.Run_ctx.engines <- m.Hw.Machine.eng :: ctx.Run_ctx.engines;
   m
 

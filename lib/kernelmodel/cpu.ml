@@ -59,5 +59,4 @@ let compute t dt =
 let assign t = t.assigned <- t.assigned + 1
 let unassign t = t.assigned <- max 0 (t.assigned - 1)
 let assigned t = t.assigned
-let load t = (if t.occupied then 1 else 0) + Waitq.length t.runq
 let busy_time t = t.busy

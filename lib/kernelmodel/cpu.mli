@@ -28,9 +28,5 @@ val assigned : t -> int
 (** Threads currently placed here, runnable or blocked. Placement decisions
     use this, like a per-CPU runqueue weight. *)
 
-val load : t -> int
-(** Current occupant (0/1) plus queued fibers — the instantaneous runqueue
-    depth. *)
-
 val busy_time : t -> Time.t
 (** Total simulated time this core spent computing. *)

@@ -35,9 +35,3 @@ let pick_core t =
 let assign t core = Cpu.assign (cpu t core)
 let unassign t core = Cpu.unassign (cpu t core)
 let compute_on t core dt = Cpu.compute (cpu t core) dt
-
-let total_load t = List.fold_left (fun acc (_, c) -> acc + Cpu.load c) 0 t.cpus
-
-let total_busy t =
-  List.fold_left (fun acc (_, c) -> Time.add acc (Cpu.busy_time c)) Time.zero
-    t.cpus

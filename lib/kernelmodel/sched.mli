@@ -30,6 +30,3 @@ val unassign : t -> Hw.Topology.core -> unit
 
 val compute_on : t -> Hw.Topology.core -> Time.t -> unit
 (** Consume CPU time on the given core (timeshared, see {!Cpu.compute}). *)
-
-val total_load : t -> int
-val total_busy : t -> Time.t

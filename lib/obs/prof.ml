@@ -6,8 +6,8 @@
 
 let clock () = Int64.to_int (Monotonic_clock.now ())
 
-(* Collapse digit runs so per-instance fiber names ("thread-17", "req-409",
-   "msg-handler-n3") aggregate into a bounded label set. *)
+(* Collapse digit runs so per-instance fiber names ("thread-17",
+   "smp-thread-9", "msg-worker-n3") aggregate into a bounded label set. *)
 let normalize name =
   let n = String.length name in
   let b = Buffer.create n in

@@ -39,13 +39,13 @@ let run cluster dispatcher config =
   let started = Engine.now eng in
   (* The generator never waits for outcomes: arrival [i] fires
      [interarrival i] after arrival [i-1], full stop. Each request rides
-     its own fiber so a slow placement delays nothing but itself. *)
+     its own fiber so a slow placement delays nothing but itself. All
+     request fibers share one name, so the engine interns one label for
+     them, not one per request. *)
   Engine.spawn eng ~tag:"workload" ~name:"server-gen" (fun () ->
       for i = 1 to config.requests do
         Engine.sleep eng (config.interarrival i);
-        Engine.spawn eng ~tag:"workload"
-          ~name:(Printf.sprintf "req-%d" i)
-          (fun () ->
+        Engine.spawn eng ~tag:"workload" ~name:"req" (fun () ->
             let t0 = Engine.now eng in
             (match
                Popcorn.Placement.dispatch ?deadline:config.deadline_ns

@@ -1,6 +1,6 @@
 (* Tests for the extended OS services: exit_group, kill, migration
-   prefetch, the load balancer, and protocol robustness under injected
-   message-processing jitter. *)
+   prefetch, heterogeneous ISAs, the VFS, and protocol robustness under
+   injected message-processing jitter. *)
 
 open Popcorn
 module K = Kernelmodel
@@ -140,42 +140,6 @@ let test_prefetch_accelerates_post_migration () =
     (Printf.sprintf "prefetch helps (%dns vs %dns)" cold warm)
     true
     (warm * 3 < cold)
-
-(* --- balancer --- *)
-
-let test_balancer_spreads_load () =
-  let machine, cluster = mk () in
-  let balancer = Balancer.start ~period:(Sim.Time.us 200) ~threshold:1 cluster in
-  let final_kernels = ref [] in
-  Sim.Engine.spawn machine.Hw.Machine.eng (fun () ->
-      let proc =
-        Api.start_process cluster ~origin:0 (fun th ->
-            let latch = Workloads.Latch.create (Types.eng cluster) 8 in
-            (* All 8 workers start on kernel 0; hints should spread them. *)
-            for _ = 1 to 8 do
-              ignore
-                (Api.spawn th ~target:0 (fun child ->
-                     for _ = 1 to 30 do
-                       Api.compute child (Sim.Time.us 100)
-                     done;
-                     final_kernels :=
-                       child.Api.task.K.Task.kernel :: !final_kernels;
-                     Workloads.Latch.arrive latch))
-            done;
-            Workloads.Latch.wait latch)
-      in
-      Api.wait_exit cluster proc;
-      Balancer.stop balancer);
-  run machine;
-  let distinct = List.sort_uniq compare !final_kernels in
-  Alcotest.(check bool)
-    (Printf.sprintf "threads spread to %d kernels (%d hints)"
-       (List.length distinct)
-       (Balancer.hints_issued balancer))
-    true
-    (List.length distinct >= 3);
-  Alcotest.(check bool) "hints were issued" true
-    (Balancer.hints_issued balancer > 0)
 
 (* --- robustness: coherence invariants under message jitter --- *)
 
@@ -533,8 +497,6 @@ let () =
           Alcotest.test_case "accelerates post-migration touches" `Quick
             test_prefetch_accelerates_post_migration;
         ] );
-      ( "balancer",
-        [ Alcotest.test_case "spreads skewed load" `Quick test_balancer_spreads_load ] );
       ( "heterogeneous",
         [
           Alcotest.test_case "cross-ISA transformation cost" `Quick

@@ -1,8 +1,8 @@
 (* Tests for health-aware placement: the Health state machine, the
    Placement rule and dispatcher (admission control, retry-on-other-
-   kernel), the Balancer's health integration and stale-hint expiry, and
-   the R2 acceptance criteria (proportional degradation under a kernel
-   crash — asserted, not just printed). *)
+   kernel, the exhausted retry ladder), and the R2 acceptance criteria
+   (proportional degradation under a kernel crash — asserted, not just
+   printed). *)
 
 open Sim
 module P = Popcorn.Types
@@ -190,96 +190,34 @@ let test_retry_other_kernel () =
   Alcotest.check state "server kernel stays healthy" H.Healthy
     (H.state health 2)
 
-(* --- Balancer: stale hints and health integration ----------------------- *)
-
-let test_balancer_stale_hints () =
+(* Every worker kernel unreachable: the dispatcher walks its whole retry
+   ladder (3 attempts, one per kernel, deadlines 60/120/240us of slack on
+   top of the service cost) and reports the failure instead of hanging. *)
+let test_retry_ladder_exhausted () =
   let eng, cluster = mk_cluster () in
-  let balancer = ref None in
-  let stale_before = ref (-1) in
-  Engine.spawn eng (fun () ->
-      let proc =
-        Popcorn.Api.start_process cluster ~origin:0 (fun th ->
-            (* A worker parked on a futex: live, but it never reaches a
-               cooperative migration point, so its hint can only expire. *)
-            let wtid =
-              Popcorn.Api.spawn th (fun w ->
-                  ignore (Popcorn.Api.futex_wait w ~addr:0x800000 ()))
-            in
-            (* threshold 99: the balancer never issues hints of its own
-               here; we only exercise expiry. *)
-            let b =
-              Popcorn.Balancer.start ~period:(Time.us 50)
-                ~hint_ttl:(Time.us 100) ~threshold:99 cluster
-            in
-            balancer := Some b;
-            let k0 = P.kernel_of cluster 0 in
-            let now = Engine.now eng in
-            (* One hint for a tid that does not exist (the thread exited
-               or migrated away), one for the parked live thread. *)
-            Hashtbl.replace k0.P.migrate_hints 9999
-              { P.hint_dst = 1; hint_at = now };
-            Hashtbl.replace k0.P.migrate_hints wtid
-              { P.hint_dst = 1; hint_at = now };
-            stale_before := Popcorn.Balancer.hints_stale b;
-            Popcorn.Api.compute th (Time.us 400);
-            Alcotest.(check int) "both hints expired" 0
-              (Hashtbl.length k0.P.migrate_hints);
-            ignore (Popcorn.Api.futex_wake th ~addr:0x800000 ~count:1);
-            Popcorn.Balancer.stop b)
-      in
-      Popcorn.Api.wait_exit cluster proc);
-  Engine.run eng;
-  Alcotest.(check int) "no stale hints at the start" 0 !stale_before;
-  match !balancer with
-  | Some b ->
-      Alcotest.(check int) "both counted stale" 2
-        (Popcorn.Balancer.hints_stale b)
-  | None -> Alcotest.fail "balancer never started"
-
-(* A crashed kernel must not wedge the balancer (the old Gather-based
-   round parked forever waiting for its load reply), must get drained by
-   the shared health tracker, and must be readmitted once it heals. *)
-let test_balancer_survives_crashed_kernel () =
-  let eng, cluster = mk_cluster () in
-  let health = H.create eng ~kernels:4 in
+  let disp = Pl.create ~frontend:0 cluster in
   let plan = Inject.Plan.create eng in
   Inject.Plan.attach plan cluster.P.fabric;
-  let victim = 3 in
-  let sever rates =
-    for k = 0 to 3 do
-      if k <> victim then begin
-        Inject.Plan.set_link plan ~src:k ~dst:victim rates;
-        Inject.Plan.set_link plan ~src:victim ~dst:k rates
-      end
-    done
-  in
-  let mid = ref H.Healthy in
+  for k = 1 to 3 do
+    Inject.Plan.set_link plan ~src:0 ~dst:k
+      { Inject.Plan.zero with Inject.Plan.drop = 1.0 }
+  done;
+  let cost = Time.us 10 in
+  let outcome = ref Pl.Rejected and took = ref 0 in
   Engine.spawn eng (fun () ->
-      let proc =
-        Popcorn.Api.start_process cluster ~origin:0 (fun th ->
-            let b =
-              Popcorn.Balancer.start ~period:(Time.us 100) ~threshold:99
-                ~health cluster
-            in
-            Popcorn.Api.compute th (Time.ms 1);
-            Alcotest.check state "healthy while fault-free" H.Healthy
-              (H.state health victim);
-            sever { Inject.Plan.zero with Inject.Plan.drop = 1.0 };
-            Popcorn.Api.compute th (Time.ms 2);
-            mid := H.state health victim;
-            sever Inject.Plan.zero;
-            Popcorn.Api.compute th (Time.ms 3);
-            Alcotest.(check bool) "readmitted after healing" true
-              (H.available health victim);
-            Alcotest.check state "healthy majority never drained" H.Healthy
-              (H.state health 1);
-            Popcorn.Balancer.stop b;
-            H.stop health)
-      in
-      Popcorn.Api.wait_exit cluster proc);
+      let t0 = Engine.now eng in
+      outcome := Pl.dispatch disp ~cost_ns:cost;
+      took := Time.sub (Engine.now eng) t0);
   Engine.run eng;
-  (* Engine.run returning at all is the no-hang half of the test. *)
-  Alcotest.check state "drained while severed" H.Drained !mid
+  (match !outcome with
+  | Pl.Failed { attempts } ->
+      Alcotest.(check int) "one attempt per worker kernel" 3 attempts
+  | _ -> Alcotest.fail "dispatch to severed kernels did not fail");
+  Alcotest.(check bool)
+    (Printf.sprintf "waited every backed-off deadline (%dns)" !took)
+    true
+    (!took >= (3 * cost) + Time.us (60 + 120 + 240));
+  Alcotest.(check int) "nothing left in flight" 0 (Pl.inflight disp)
 
 (* --- R2 acceptance: proportional degradation under kernel crash --------- *)
 
@@ -319,6 +257,11 @@ let test_r2_crash_acceptance () =
     (crash.R2.readmit_after_ns >= 0);
   Alcotest.(check bool) "victim serving again at the end" true
     (crash.R2.victim_final <> H.Drained);
+  Alcotest.(check bool) "healthy majority never drained" true
+    (List.for_all
+       (fun (tr : H.transition) ->
+         tr.H.tr_kernel = R2.victim || tr.H.tr_to <> H.Drained)
+       crash.R2.transitions);
   Alcotest.(check bool) "some requests failed over" true
     (cs.Workloads.Server.retried > 0)
 
@@ -407,13 +350,8 @@ let () =
             test_admission_shedding;
           Alcotest.test_case "retry on other kernel" `Quick
             test_retry_other_kernel;
-        ] );
-      ( "balancer",
-        [
-          Alcotest.test_case "stale hints expire" `Quick
-            test_balancer_stale_hints;
-          Alcotest.test_case "crashed kernel: no hang, drain, readmit"
-            `Quick test_balancer_survives_crashed_kernel;
+          Alcotest.test_case "retry ladder exhausted" `Quick
+            test_retry_ladder_exhausted;
         ] );
       ( "r2 acceptance",
         [

@@ -86,6 +86,37 @@ let test_latch () =
   Alcotest.(check bool) "released" true !released
 
 (* Experiments are runnable end-to-end in quick mode and yield tables. *)
+(* A drained engine must not grow with the number of requests it served:
+   experiments keep their engines alive until they end (to sum event
+   counts), so per-request state left in the engine — such as one interned
+   fiber label per request — is held for the whole run. *)
+let drained_engine_words ~requests =
+  let machine, cluster = mk_popcorn () in
+  let eng = machine.Hw.Machine.eng in
+  let disp = Popcorn.Placement.create ~frontend:0 cluster in
+  let config =
+    {
+      Workloads.Server.requests;
+      interarrival = (fun _ -> Time.us 20);
+      cost_ns = Time.us 10;
+      deadline_ns = None;
+    }
+  in
+  Engine.spawn eng (fun () ->
+      let s = Workloads.Server.run cluster disp config in
+      Alcotest.(check int) "every request served" requests
+        s.Workloads.Server.completed);
+  Engine.run eng;
+  Obj.reachable_words (Obj.repr eng)
+
+let test_server_engine_bounded () =
+  let one = drained_engine_words ~requests:500 in
+  let four = drained_engine_words ~requests:2000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "4x requests: %d words vs %d" four one)
+    true
+    (four <= one + 1024)
+
 let test_registry_quick () =
   Alcotest.(check bool) "has experiments" true
     (List.length Experiments.Registry.all >= 8);
@@ -115,6 +146,8 @@ let () =
           Alcotest.test_case "app classes" `Slow test_apps_complete;
           Alcotest.test_case "multikernel workloads" `Quick
             test_mk_workloads_complete;
+          Alcotest.test_case "server engine stays bounded" `Quick
+            test_server_engine_bounded;
         ] );
       ( "experiments",
         [ Alcotest.test_case "registry quick run" `Slow test_registry_quick ] );
